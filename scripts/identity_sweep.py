@@ -2,8 +2,8 @@
 """Sweep the multi-route Ursell identity over a seed range.
 
 Prints the worst pairwise relative difference per (n, beta) cell, split into
-the exact routes (graph vs partition sums) and, for n <= 4, the quadrature
-routes (tree integral, merge expansion).
+the exact routes (graph vs partition sums) and, for n <= MAX_INTEGRAL_ROUTE_N,
+the closed-form simplex routes (tree integral, merge expansion).
 """
 
 from __future__ import annotations
@@ -12,17 +12,14 @@ import argparse
 import time
 
 from mayerbounds.ursell import (
+    MAX_INTEGRAL_ROUTE_N,
     merge_sequence_expansion,
     random_interaction_matrix,
+    rel_diff,
     ursell_graph_sum,
     ursell_partition_sum,
     ursell_tree_integral,
 )
-
-
-def rel_diff(x: float, y: float) -> float:
-    scale = max(abs(x), abs(y))
-    return 0.0 if scale < 1e-300 else abs(x - y) / scale
 
 
 def main() -> int:
@@ -33,7 +30,7 @@ def main() -> int:
 
     start = time.monotonic()
     worst_exact: dict[tuple[int, float], float] = {}
-    worst_quad: dict[tuple[int, float], float] = {}
+    worst_simplex: dict[tuple[int, float], float] = {}
     for seed in range(args.seeds):
         n = 2 + seed % 6
         matrix = random_interaction_matrix(n, seed)
@@ -42,17 +39,17 @@ def main() -> int:
             p = ursell_partition_sum(matrix, beta)
             key = (n, beta)
             worst_exact[key] = max(worst_exact.get(key, 0.0), rel_diff(g, p))
-            if n <= 4:
+            if n <= MAX_INTEGRAL_ROUTE_N:
                 t = ursell_tree_integral(matrix, beta)
                 m = merge_sequence_expansion(matrix, beta)
                 d = max(rel_diff(t, g), rel_diff(m, g), rel_diff(t, m))
-                worst_quad[key] = max(worst_quad.get(key, 0.0), d)
+                worst_simplex[key] = max(worst_simplex.get(key, 0.0), d)
 
-    print(f"{'n':>3} {'beta':>6} {'graph-vs-partition':>20} {'quadrature routes':>20}")
+    print(f"{'n':>3} {'beta':>6} {'graph-vs-partition':>20} {'simplex routes':>20}")
     for key in sorted(worst_exact):
         n, beta = key
-        quad = f"{worst_quad[key]:.3e}" if key in worst_quad else "-"
-        print(f"{n:>3} {beta:>6g} {worst_exact[key]:>20.3e} {quad:>20}")
+        simplex = f"{worst_simplex[key]:.3e}" if key in worst_simplex else "-"
+        print(f"{n:>3} {beta:>6g} {worst_exact[key]:>20.3e} {simplex:>20}")
     print(f"[{args.seeds} seeds x {len(args.betas)} betas in {time.monotonic() - start:.1f}s]")
     return 0
 

@@ -29,10 +29,8 @@ from .combinatorics import (
 from .ursell import (
     InteractionMatrix,
     MergeState,
-    SimplexIntegrand,
     block_pair_energy,
     merge_sequence_expansion,
-    simplex_exponential_integral,
     subset_energy,
     tree_exponent_coefficients,
     ursell_graph_sum,

@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,8 +49,10 @@ from .stability import (
     mu_bound_function,
 )
 from .ursell import (
+    MAX_INTEGRAL_ROUTE_N,
     merge_sequence_expansion,
     random_interaction_matrix,
+    rel_diff,
     ursell_graph_sum,
     ursell_partition_sum,
     ursell_tree_integral,
@@ -61,16 +64,8 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 MAX_IDENTITY_N = 7
-MAX_IDENTITY_INTEGRAL_N = 5
 
 TABLE_FLOAT = "{:.6g}"
-
-
-def rel_diff(x: float, y: float) -> float:
-    scale = max(abs(x), abs(y))
-    if scale < 1e-12:
-        return 0.0
-    return abs(x - y) / scale
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -116,9 +111,12 @@ def cmd_identity(args) -> int:
         "graph_sum": ursell_graph_sum(matrix, args.beta),
         "partition_sum": ursell_partition_sum(matrix, args.beta),
     }
-    if args.n <= MAX_IDENTITY_INTEGRAL_N:
+    if args.n <= MAX_INTEGRAL_ROUTE_N:
         routes["tree_integral"] = ursell_tree_integral(matrix, args.beta)
         routes["merge_expansion"] = merge_sequence_expansion(matrix, args.beta)
+    overflowed = sorted(name for name, value in routes.items() if not math.isfinite(value))
+    if overflowed:
+        raise ArithmeticError(f"{', '.join(overflowed)} not finite at beta={args.beta:g}")
 
     names = sorted(routes)
     diffs = {}
@@ -344,8 +342,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "identity" and not 2 <= args.n <= MAX_IDENTITY_N:
         parser.error(f"identity check supports 2 <= n <= {MAX_IDENTITY_N}, got n={args.n}")
-    if args.command == "identity" and args.beta < 0:
-        parser.error("beta must be non-negative")
+    if args.command == "identity" and not (math.isfinite(args.beta) and args.beta >= 0):
+        parser.error(f"beta must be finite and non-negative, got {args.beta!r}")
     try:
         if args.command == "identity":
             return cmd_identity(args)

@@ -1,160 +1,87 @@
-"""Nested quadrature over the ordered inverse-temperature simplex.
+"""Closed-form integral over the ordered inverse-temperature simplex.
 
-Evaluates, for difference coefficients d_1..d_m,
+For difference coefficients d_1..d_m and level coefficients c_k = d_1 + ... + d_k,
 
-    I = int_0^beta e^{-d_1 x_1} int_0^{x_1} e^{-d_2 x_2} ... int_0^{x_{m-1}}
-        e^{-d_m x_m} dx_m ... dx_1
+    I = int_{beta >= b_1 >= ... >= b_m >= 0} exp(-sum_k b_k d_k) db
+      = beta^m * exp[x_0, x_1, ..., x_m],   x = (0, -beta c_1, ..., -beta c_m),
 
-which is the ordered-simplex integral of exp(-sum_k (b_k - b_{k+1}) c_k) once
-the level coefficients c are converted to differences d_k = c_k - c_{k-1}.
+the divided difference of exp at the nodes x (Hermite-Genocchi formula).  That
+divided difference is entry (0, m) of exp(J), where J is the bidiagonal matrix
+with x on its diagonal and ones above it (McCurdy, Ng & Parlett 1984), so
+coincident nodes need no special case.  exp(J) is evaluated by scaling and
+squaring (Higham 2005): shift J by its largest node, so every diagonal entry
+is <= 0, scale by 2^-s until its 1-norm is <= 1, sum the Taylor series to
+degree 18 (truncation below 1/19! ~ 8e-18), and square s times.
 
-Each level is a one-dimensional integral of a smooth function; levels are
-built innermost-first as piecewise-Chebyshev antiderivatives on a shared
-panel grid (degree doubles adaptively per panel, panels split further when a
-fit stalls).  The innermost level is the exact one-dimensional integral
-s * (1 - e^{-d_m s})/(d_m s), which stays stable for any sign or size of d_m,
-including d_m = 0, so no coefficient configuration needs special casing.
-
-The panel count scales with beta * sum |d_k| so the within-panel dynamic
-range of the exponentials stays bounded; this keeps the relative accuracy of
-every level fit meaningful across the whole domain.
+The scaling s is chosen per row, so a batched call returns bit for bit what
+row-by-row calls return.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
-from .quadrature import QuadratureConvergenceError, stable_ratio
+from .combinatorics import SizeLimitError
 
-__all__ = ["simplex_integral_from_diffs"]
+__all__ = ["MAX_LEVELS", "simplex_integral_from_diffs"]
 
-_DEGREES = (16, 32, 64, 128, 256)
-_EXPONENT_SPAN_PER_PANEL = 20.0
-_MAX_PANEL_SPLITS = 12
-
-
-@lru_cache(maxsize=None)
-def _cheb_points(count: int) -> np.ndarray:
-    """Chebyshev points of the first kind on [-1, 1] (no endpoints)."""
-    return np.cos(np.pi * (np.arange(count) + 0.5) / count)
+# Deepest simplex the accuracy test against mpmath covers (6 nodes).
+MAX_LEVELS = 5
+_TAYLOR_DEGREE = 18
+# Rows per batched evaluation: keeps the working set near 1 MB at no cost in
+# speed (4096-row chunks are no faster and hold 2.5 MB more at n = 5).
+_CHUNK_ROWS = 512
 
 
-@lru_cache(maxsize=None)
-def _fit_matrix(count: int) -> np.ndarray:
-    """Matrix mapping values at the first-kind points to Chebyshev coefficients."""
-    k = np.arange(count)
-    theta = np.pi * (k + 0.5) / count
-    mat = 2.0 / count * np.cos(np.outer(k, theta))
-    mat[0] *= 0.5
-    return mat
-
-
-class _Panel:
-    """One antiderivative piece: F(x) = base + scale * (T(t(x)) - T(-1))."""
-
-    __slots__ = ("lo", "hi", "mid", "half", "coeffs", "left_val", "base")
-
-    def __init__(self, lo: float, hi: float, coeffs: np.ndarray, base: float):
-        self.lo = lo
-        self.hi = hi
-        self.mid = 0.5 * (lo + hi)
-        self.half = 0.5 * (hi - lo)
-        self.coeffs = coeffs
-        self.left_val = cheb.chebval(-1.0, coeffs)
-        self.base = base
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        t = (x - self.mid) / self.half
-        return self.base + self.half * (cheb.chebval(t, self.coeffs) - self.left_val)
-
-    def right_value(self) -> float:
-        return float(self.base + self.half * (cheb.chebval(1.0, self.coeffs) - self.left_val))
-
-
-class _PiecewiseAntiderivative:
-    """F(s) = int_0^s g, represented as Chebyshev antiderivatives per panel."""
-
-    def __init__(self, panels: list[_Panel]):
-        self.panels = panels
-        self.edges = np.array([p.lo for p in panels] + [panels[-1].hi])
-        self.total = panels[-1].right_value()
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, len(self.panels) - 1)
-        out = np.empty_like(x)
-        for p in np.unique(idx):
-            sel = idx == p
-            out[sel] = self.panels[p].value(x[sel])
-        return out
-
-
-def _fit_panel(g, lo: float, hi: float, rel_tol: float, depth: int, base: float) -> list[_Panel]:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    for degree in _DEGREES:
-        count = degree + 1
-        values = g(mid + half * _cheb_points(count))
-        coeffs = _fit_matrix(count) @ values
-        scale = np.max(np.abs(coeffs))
-        tail = np.max(np.abs(coeffs[-3:]))
-        if tail <= rel_tol * scale or scale == 0.0:
-            anti = cheb.chebint(coeffs)
-            return [_Panel(lo, hi, anti, base)]
-    if depth >= _MAX_PANEL_SPLITS:
-        raise QuadratureConvergenceError(
-            f"simplex level fit stalled on [{lo}, {hi}]",
-            value=math.nan,
-            achieved_error=float(tail / scale),
-        )
-    left = _fit_panel(g, lo, mid, rel_tol, depth + 1, base)
-    right = _fit_panel(g, mid, hi, rel_tol, depth + 1, left[-1].right_value())
-    return left + right
-
-
-def _build_level(g, edges: np.ndarray, rel_tol: float) -> _PiecewiseAntiderivative:
-    panels: list[_Panel] = []
-    base = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pieces = _fit_panel(g, lo, hi, rel_tol, 0, base)
-        panels.extend(pieces)
-        base = pieces[-1].right_value()
-    return _PiecewiseAntiderivative(panels)
-
-
-def simplex_integral_from_diffs(diffs, beta: float, rel_tol: float = 1e-8) -> float:
-    """Nested-quadrature value of the simplex integral for difference
-    coefficients d_1..d_m at inverse temperature beta."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    if beta == 0.0:
-        return 0.0
-    diffs = tuple(float(d) for d in diffs)
-    m = len(diffs)
-    if m == 0:
+def simplex_integral_from_diffs(diffs, beta: float):
+    """Simplex integral for each row of `diffs` (shape (..., m)) at inverse
+    temperature beta: a float for 1-D input, an array of shape diffs.shape[:-1]
+    otherwise."""
+    d = np.asarray(diffs, dtype=float)
+    if d.ndim == 0 or d.shape[-1] == 0:
         raise ValueError("at least one difference coefficient required")
-    if m == 1:
-        return float(beta * stable_ratio(diffs[0] * beta))
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and non-negative, got {beta!r}")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("difference coefficients must be finite")
+    m = d.shape[-1]
+    if m > MAX_LEVELS:
+        raise SizeLimitError(f"simplex integral supports at most {MAX_LEVELS} levels, got {m}")
 
-    span = beta * sum(abs(d) for d in diffs)
-    n_panels = min(80, max(1, math.ceil(span / _EXPONENT_SPAN_PER_PANEL)))
-    edges = np.linspace(0.0, beta, n_panels + 1)
+    rows = d.reshape(-1, m)
+    with np.errstate(over="raise"):  # FloatingPointError beyond the double range
+        nodes = np.zeros((rows.shape[0], m + 1))
+        nodes[:, 1:] = -beta * np.cumsum(rows, axis=1)
+        top = nodes.max(axis=1)
+        entry = np.empty(rows.shape[0])
+        for lo in range(0, rows.shape[0], _CHUNK_ROWS):
+            sl = slice(lo, lo + _CHUNK_ROWS)
+            entry[sl] = _exp_corner(nodes[sl] - top[sl, None])
+        values = (np.exp(top) * beta**m * entry).reshape(d.shape[:-1])
+    return float(values) if d.ndim == 1 else values
 
-    d_last = diffs[-1]
-    level: _PiecewiseAntiderivative | None = None
-    for j in range(m - 2, -1, -1):
-        inner = level
 
-        def g(x, _d=diffs[j], _inner=inner):
-            if _inner is None:
-                inner_vals = x * stable_ratio(d_last * x)
-            else:
-                inner_vals = _inner(x)
-            return np.exp(-_d * x) * inner_vals
-
-        level = _build_level(g, edges, rel_tol)
-    return level.total
+def _exp_corner(nodes: np.ndarray) -> np.ndarray:
+    """Entry (0, m) of exp(J) per row, for nodes <= 0 of shape (rows, m + 1)."""
+    rows, size = nodes.shape
+    squarings = np.ceil(np.log2(1.0 - nodes.min(axis=1, initial=0.0))).astype(int)
+    scale = np.ldexp(1.0, -squarings)
+    diag = np.arange(size)
+    a = np.zeros((rows, size, size))
+    a[:, diag, diag] = nodes * scale[:, None]
+    a[:, diag[:-1], diag[1:]] = scale[:, None]
+    e = a / _TAYLOR_DEGREE
+    e[:, diag, diag] += 1.0
+    term = np.empty_like(e)
+    for k in range(_TAYLOR_DEGREE - 1, 0, -1):  # Horner: e <- I + a e / k
+        np.matmul(a, e, out=term)
+        term *= 1.0 / k
+        term[:, diag, diag] += 1.0
+        e, term = term, e
+    for step in range(squarings.max(initial=0)):
+        idx = np.nonzero(squarings > step)[0]
+        part = e[idx]
+        e[idx] = np.matmul(part, part)
+    return e[:, 0, -1]

@@ -11,9 +11,13 @@ connected function phi_beta([n]) is evaluated by independent routes:
 4. `merge_sequence_expansion` — the same integral organized by sequences of
                              block merges (the bijective regrouping of route 3).
 
-Routes 1 and 2 are exact up to floating-point; routes 3 and 4 use nested
-one-dimensional quadrature on the ordered simplex beta >= b_1 >= ... >= 0.
-Agreement of all four is the identity check the CLI exposes.
+Routes 1 and 2 are exact up to floating-point.  Routes 3 and 4 are
+closed-form: each simplex integral is a divided difference of exp
+(`simplex.simplex_integral_from_diffs`), evaluated for all trees or all merge
+histories in one batched call.  Routes 3 and 4 build their own combinatorial
+tables (tree path masks, cross-block pair indicators) and share only that
+numerical kernel with each other.  Agreement of all four is the identity
+check the CLI exposes.
 
 Hard cores: +inf entries must be replaced by a finite cutoff (`with_cutoff`,
 default height 30, where e^-30 is below double round-off of unit-scale sums)
@@ -22,6 +26,7 @@ before any numeric evaluation.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -39,22 +44,24 @@ from .combinatorics import (
     enumerate_labeled_trees,
     pair_order,
 )
-from .simplex import simplex_integral_from_diffs
+from .simplex import MAX_LEVELS, simplex_integral_from_diffs
 
 __all__ = [
     "DEFAULT_HARD_CORE_CUTOFF",
     "HardCoreCutoffError",
     "InvalidBlockPairError",
     "InteractionMatrix",
+    "MAX_INTEGRAL_ROUTE_N",
     "MergeState",
-    "SimplexIntegrand",
     "block_pair_energy",
     "merge_histories",
     "merge_sequence_expansion",
+    "merge_step_energies",
     "random_interaction_matrix",
-    "simplex_exponential_integral",
+    "rel_diff",
     "subset_energy",
     "tree_exponent_coefficients",
+    "tree_level_coefficients",
     "ursell_graph_sum",
     "ursell_partition_sum",
     "ursell_tree_integral",
@@ -62,7 +69,8 @@ __all__ = [
 
 DEFAULT_HARD_CORE_CUTOFF = 30.0
 MAX_PARTITION_SUM_N = 12
-MAX_INTEGRAL_ROUTE_N = 5
+# Routes 3 and 4 need n - 1 simplex levels.
+MAX_INTEGRAL_ROUTE_N = MAX_LEVELS + 1
 
 
 class HardCoreCutoffError(ValueError):
@@ -178,6 +186,14 @@ def random_interaction_matrix(
     for i, j in pair_order(n):
         v[i - 1, j - 1] = v[j - 1, i - 1] = rng.uniform(low, high)
     return InteractionMatrix(n, v)
+
+
+def rel_diff(x: float, y: float) -> float:
+    """|x - y| relative to the larger magnitude; 0 when both are below 1e-12."""
+    scale = max(abs(x), abs(y))
+    if scale < 1e-12:
+        return 0.0
+    return abs(x - y) / scale
 
 
 def subset_energy(m: InteractionMatrix, subset: Iterable[int]) -> float:
@@ -311,42 +327,74 @@ def _mobius_weights(n: int) -> np.ndarray:
 # route 3: edge-labeled tree integral
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimplexIntegrand:
-    """Level coefficients c_1..c_m and beta for the ordered-simplex integral
+def _check_integral_n(n: int, what: str) -> None:
+    if not 2 <= n <= MAX_INTEGRAL_ROUTE_N:
+        raise SizeLimitError(f"{what} supports 2 <= n <= {MAX_INTEGRAL_ROUTE_N}, got {n}")
 
-        int_{beta >= b_1 >= ... >= b_m >= 0} exp(-sum_k (b_k - b_{k+1}) c_k) db
 
-    with b_{m+1} = 0.
+def _pair_values(m: InteractionMatrix) -> np.ndarray:
+    """Effective V_ij over the unordered pairs, in pair_order."""
+    return m.effective_values()[np.triu_indices(m.n, 1)]
+
+
+def _tree_path_masks(n: int, edges) -> list[int]:
+    """For each pair (in pair_order), the bitmask of edge positions on the tree
+    path joining it."""
+    adjacent: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, n + 1)}
+    for e, (i, j) in enumerate(edges):
+        adjacent[i].append((j, e))
+        adjacent[j].append((i, e))
+    masks = []
+    for i in range(1, n + 1):
+        path = {i: 0}
+        stack = [i]
+        while stack:
+            u = stack.pop()
+            for w, e in adjacent[u]:
+                if w not in path:
+                    path[w] = path[u] | 1 << e
+                    stack.append(w)
+        masks.extend(path[j] for j in range(i + 1, n + 1))
+    return masks
+
+
+@lru_cache(maxsize=None)
+def _tree_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Route-3 tables for the trees on [n], in enumerate_labeled_trees order.
+
+    edges[t]       pair indices of tree t's edges (sorted edge order);
+    inside[t, S]   0/1 over pairs: both ends in one component of the forest
+                   of tree t's edges whose positions are in the bitmask S;
+    prefixes[l, k] bitmask of the first k+1 edges under labeling l, the
+                   labelings in itertools.permutations order.
+
+    A pair lies inside a forest component exactly when the tree path joining
+    it uses only forest edges, so each inside row follows from path masks.
     """
+    _check_integral_n(n, "tree integral")
+    index = {pair: e for e, pair in enumerate(pair_order(n))}
+    edges, paths = [], []
+    for tree in enumerate_labeled_trees(n):
+        edges.append([index[pair] for pair in tree.edges])
+        paths.append(_tree_path_masks(n, tree.edges))
+    subsets = np.arange(1 << (n - 1))
+    inside = (np.array(paths)[:, None, :] & ~subsets[None, :, None]) == 0
+    prefixes = [
+        [sum(1 << e for e in labeling[: k + 1]) for k in range(n - 1)]
+        for labeling in itertools.permutations(range(n - 1))
+    ]
+    return np.array(edges), inside.astype(float), np.array(prefixes)
 
-    coefficients: tuple[float, ...]
-    beta: float
 
-    def __post_init__(self):
-        if len(self.coefficients) < 1:
-            raise ValueError("at least one level coefficient required")
-        if not all(math.isfinite(c) for c in self.coefficients):
-            raise ValueError("level coefficients must be finite")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
+def tree_level_coefficients(m: InteractionMatrix) -> np.ndarray:
+    """Level coefficients c_1..c_{n-1} of every edge-labeled tree on [n].
 
-
-def simplex_exponential_integral(integrand: SimplexIntegrand, rel_tol: float = 1e-8) -> float:
-    """Evaluate the ordered-simplex exponential integral by nested quadrature.
-
-    `rel_tol` is the per-level relative tolerance; with the default 1e-8 the
-    overall result is good to ~1e-6 at the supported depths.  Coincident
-    level coefficients need no special handling here, which is why quadrature
-    is used instead of analytic iterated integration.
+    Shape (trees, labelings, n-1), rows in the order of
+    enumerate_labeled_trees(n, with_labelings=True); c_k is the total energy
+    of the components of the forest of the edges labeled <= k.
     """
-    c = integrand.coefficients
-    if len(c) > MAX_INTEGRAL_ROUTE_N - 1:
-        raise SizeLimitError(
-            f"quadrature mode supports at most {MAX_INTEGRAL_ROUTE_N - 1} levels, got {len(c)}"
-        )
-    diffs = (c[0],) + tuple(c[k] - c[k - 1] for k in range(1, len(c)))
-    return simplex_integral_from_diffs(diffs, integrand.beta, rel_tol)
+    _, inside, prefixes = _tree_tables(m.n)
+    return (inside @ _pair_values(m))[:, prefixes]
 
 
 def tree_exponent_coefficients(tree, m: InteractionMatrix) -> tuple[float, ...]:
@@ -357,30 +405,20 @@ def tree_exponent_coefficients(tree, m: InteractionMatrix) -> tuple[float, ...]:
     )
 
 
-def ursell_tree_integral(m: InteractionMatrix, beta: float, tol: float = 1e-6) -> float:
+def ursell_tree_integral(m: InteractionMatrix, beta: float) -> float:
     """Tree route: (-1)^(n-1) sum over trees and edge labelings of
     (prod_edges V_ij) times the simplex exponential integral of the prefix
-    component energies."""
+    component energies, all labelings in one batched simplex call."""
     n = m.n
-    if not 2 <= n <= MAX_INTEGRAL_ROUTE_N:
-        raise SizeLimitError(
-            f"tree integral supports 2 <= n <= {MAX_INTEGRAL_ROUTE_N}, got {n}"
-        )
+    edges, _, _ = _tree_tables(n)
     if beta == 0.0:
         return 0.0
-    per_level = tol / 100.0
-    total = 0.0
-    for tree in enumerate_labeled_trees(n, with_labelings=True):
-        product = 1.0
-        for i, j in tree.edges:
-            product *= m.effective(i, j)
-        if product == 0.0:
-            continue
-        coeffs = tree_exponent_coefficients(tree, m)
-        total += product * simplex_exponential_integral(
-            SimplexIntegrand(coeffs, beta), per_level
-        )
-    return (-1.0) ** (n - 1) * total
+    products = _pair_values(m)[edges].prod(axis=1)
+    keep = products != 0.0
+    levels = tree_level_coefficients(m)[keep]
+    diffs = np.diff(levels, axis=-1, prepend=0.0)
+    integrals = simplex_integral_from_diffs(diffs, beta).sum(axis=1)
+    return (-1.0) ** (n - 1) * float(products[keep] @ integrals)
 
 
 # ---------------------------------------------------------------------------
@@ -453,27 +491,55 @@ def merge_histories(n: int) -> Iterator[MergeState]:
     yield from rec(MergeState.initial(n))
 
 
-def merge_sequence_expansion(m: InteractionMatrix, beta: float, tol: float = 1e-6) -> float:
+@lru_cache(maxsize=None)
+def _merge_table(n: int) -> np.ndarray:
+    """0/1 array (histories, n-1, pairs): the pairs joining the two blocks
+    merged at each step, histories in merge_histories(n) order.
+
+    Histories are built as tuples of block bitmasks, blocks kept sorted by
+    their smallest vertex (lowest bit), as MergeState.available_merges does.
+    """
+    _check_integral_n(n, "merge expansion")
+    pair_bits = [(1 << (i - 1), 1 << (j - 1)) for i, j in pair_order(n)]
+    histories: list[list[list[bool]]] = []
+
+    def rec(blocks: tuple[int, ...], steps: list[list[bool]]) -> None:
+        if len(blocks) == 1:
+            histories.append(steps)
+            return
+        for a in range(len(blocks)):
+            for b in range(a + 1, len(blocks)):
+                left, right = blocks[a], blocks[b]
+                cross = [
+                    bool(left & pi and right & pj or left & pj and right & pi)
+                    for pi, pj in pair_bits
+                ]
+                rest = [blk for k, blk in enumerate(blocks) if k not in (a, b)]
+                merged = tuple(sorted(rest + [left | right], key=lambda blk: blk & -blk))
+                rec(merged, steps + [cross])
+
+    rec(tuple(1 << v for v in range(n)), [])
+    return np.array(histories, dtype=float)
+
+
+def merge_step_energies(m: InteractionMatrix) -> np.ndarray:
+    """W_1..W_{n-1} of every complete merge history of [n], shape
+    (histories, n-1), rows in merge_histories(n) order."""
+    return _merge_table(m.n) @ _pair_values(m)
+
+
+def merge_sequence_expansion(m: InteractionMatrix, beta: float) -> float:
     """Merge route: (-1)^(n-1) sum over merge histories of W_1...W_{n-1} times
     the simplex integral of exp(-sum_i b_i W_i).
 
     The diagonal exponent sum_i b_i W_i equals the level form with partial-sum
-    coefficients, so the per-step interaction energies feed the shared
-    simplex evaluator directly as level differences.
+    coefficients, so the per-step interaction energies are the level
+    differences; all histories go through one batched simplex call.
     """
-    n = m.n
-    if not 2 <= n <= MAX_INTEGRAL_ROUTE_N:
-        raise SizeLimitError(
-            f"merge expansion supports 2 <= n <= {MAX_INTEGRAL_ROUTE_N}, got {n}"
-        )
+    energies = merge_step_energies(m)
     if beta == 0.0:
         return 0.0
-    per_level = tol / 100.0
-    total = 0.0
-    for state in merge_histories(n):
-        energies = [block_pair_energy(m, pair) for pair in state.history]
-        product = math.prod(energies)
-        if product == 0.0:
-            continue
-        total += product * simplex_integral_from_diffs(tuple(energies), beta, per_level)
-    return (-1.0) ** (n - 1) * total
+    products = energies.prod(axis=1)
+    keep = products != 0.0
+    integrals = simplex_integral_from_diffs(energies[keep], beta)
+    return (-1.0) ** (m.n - 1) * float(products[keep] @ integrals)

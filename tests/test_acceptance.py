@@ -33,6 +33,7 @@ from mayerbounds.quadrature import DEFAULT_SPEC, sphere_volume
 from mayerbounds.reference import reproduction_rows
 from mayerbounds.stability import find_max_a, lj_stability_registry
 from mayerbounds.ursell import (
+    MAX_INTEGRAL_ROUTE_N,
     merge_sequence_expansion,
     random_interaction_matrix,
     ursell_graph_sum,
@@ -69,12 +70,12 @@ def test_criterion_1_identity_suite():
                 graph = ursell_graph_sum(matrix, beta)
                 partition = ursell_partition_sum(matrix, beta)
                 assert rel_diff(graph, partition) < 1e-10, (seed, n, beta)
-                if n <= 4:
+                if n <= MAX_INTEGRAL_ROUTE_N:
                     tree = ursell_tree_integral(matrix, beta)
                     merge = merge_sequence_expansion(matrix, beta)
                     for value in (tree, merge):
-                        assert rel_diff(value, graph) < 1e-5, (seed, n, beta)
-                        assert rel_diff(value, partition) < 1e-5, (seed, n, beta)
+                        assert rel_diff(value, graph) < 1e-10, (seed, n, beta)
+                        assert rel_diff(value, partition) < 1e-10, (seed, n, beta)
         elapsed = time.monotonic() - start
         print(f"  [identity suite ran in {elapsed:.1f}s]", flush=True)
         assert elapsed < 120.0

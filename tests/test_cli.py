@@ -31,10 +31,35 @@ class TestIdentity:
             "graph_sum", "partition_sum", "tree_integral", "merge_expansion",
         }
 
-    def test_n6_skips_integral_routes(self, capsys):
-        code, out = run(["identity", "--n", "6", "--format", "json"], capsys)
+    def test_n6_runs_all_routes(self, capsys):
+        code, out = run(["identity", "--n", "6", "--tol", "1e-10", "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["agree"] is True
+        assert len(payload["routes"]) == 4
+
+    def test_n7_skips_integral_routes(self, capsys):
+        code, out = run(["identity", "--n", "7", "--format", "json"], capsys)
         assert code == 0
         assert set(json.loads(out)["routes"]) == {"graph_sum", "partition_sum"}
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+    def test_bad_beta_is_usage_error(self, beta, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["identity", "--n", "3", "--beta", beta])
+        assert info.value.code == 2
+        assert "beta must be finite and non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_overflow_is_numeric_failure(self, n, capsys):
+        # at beta = 400 a simplex integral (n = 4) or the graph sum (n = 7)
+        # leaves the double range: no NaN or Infinity may reach the JSON, and
+        # the check must not report agreement
+        code = main(["identity", "--n", str(n), "--beta", "400", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure:")
 
     def test_size_guard_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

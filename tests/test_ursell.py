@@ -1,14 +1,16 @@
 """Route agreement, merge-machinery identities, and the simplex integral oracle.
 
-Expected values for the simplex integral were frozen from independent
-oracles: the simplex volume and one-level closed forms analytically, the
-two-level case against a seeded Monte-Carlo estimate, and random cases
-against nested scipy quadrature.
+Expected values for the simplex integral come from independent oracles: the
+simplex volume and one-level closed forms analytically, the two-level case
+against a seeded Monte-Carlo estimate, random cases against nested scipy
+quadrature, and the divided-difference form against mpmath's matrix
+exponential at 50 digits.
 """
 
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,19 +19,21 @@ from scipy import integrate
 
 from mayerbounds.combinatorics import SizeLimitError, enumerate_labeled_trees
 from mayerbounds.quadrature import stable_ratio
+from mayerbounds.simplex import MAX_LEVELS, simplex_integral_from_diffs
 from mayerbounds.ursell import (
     HardCoreCutoffError,
     InteractionMatrix,
     InvalidBlockPairError,
+    MAX_INTEGRAL_ROUTE_N,
     MergeState,
-    SimplexIntegrand,
     block_pair_energy,
     merge_histories,
     merge_sequence_expansion,
+    merge_step_energies,
     random_interaction_matrix,
-    simplex_exponential_integral,
     subset_energy,
     tree_exponent_coefficients,
+    tree_level_coefficients,
     ursell_graph_sum,
     ursell_partition_sum,
     ursell_tree_integral,
@@ -177,19 +181,17 @@ class TestGraphAndPartitionSums:
 class TestSimplexIntegral:
     def test_zero_coefficients_give_simplex_volume(self):
         for m_levels in (1, 2, 3, 4):
-            value = simplex_exponential_integral(
-                SimplexIntegrand((0.0,) * m_levels, 1.7)
-            )
+            value = simplex_integral_from_diffs((0.0,) * m_levels, 1.7)
             assert math.isclose(value, 1.7**m_levels / math.factorial(m_levels), rel_tol=1e-10)
 
     def test_one_level_closed_form(self):
         c, beta = 2.3, 1.1
-        value = simplex_exponential_integral(SimplexIntegrand((c,), beta))
+        value = simplex_integral_from_diffs((c,), beta)
         assert math.isclose(value, (1 - math.exp(-c * beta)) / c, rel_tol=1e-12)
 
     def test_two_levels_against_monte_carlo(self):
         c1, c2, beta = 1.7, -0.9, 1.3
-        value = simplex_exponential_integral(SimplexIntegrand((c1, c2), beta))
+        value = simplex_integral_from_diffs((c1, c2 - c1), beta)
         rng = np.random.default_rng(2024)
         draws = rng.uniform(0.0, beta, size=(200_000, 2))
         b1 = draws.max(axis=1)
@@ -205,8 +207,8 @@ class TestSimplexIntegral:
         rng = np.random.default_rng(m_levels)
         coeffs = tuple(np.cumsum(rng.uniform(-8, 8, m_levels)))
         beta = 1.9
-        value = simplex_exponential_integral(SimplexIntegrand(coeffs, beta))
         diffs = (coeffs[0],) + tuple(np.diff(coeffs))
+        value = simplex_integral_from_diffs(diffs, beta)
 
         def nested(level, upper):
             d = diffs[level]
@@ -222,22 +224,75 @@ class TestSimplexIntegral:
             )[0]
 
         expected = nested(0, beta)
-        assert rel_diff(value, expected) < 1e-8
+        assert rel_diff(value, expected) < 1e-10
+
+    @pytest.mark.parametrize("m_levels", range(1, MAX_LEVELS + 1))
+    def test_against_mpmath_expm(self, m_levels):
+        # reference: entry (0, m) of exp(J) at 50 digits, J bidiagonal with the
+        # nodes -beta * c_k on its diagonal and ones above it
+        rng = np.random.default_rng(100 + m_levels)
+        cases = []
+        for spread in (1.0, 30.0, 1000.0):
+            for _ in range(4):
+                levels = rng.uniform(-0.05 * spread, spread, m_levels)
+                cases.append((levels, float(rng.uniform(0.2, 1.0))))
+        cases.append((np.full(m_levels, 2.5), 1.3))  # coincident nodes
+        cases.append((np.zeros(m_levels), 0.7))  # all nodes at the origin
+        cases.append((2.5 + 1e-9 * np.arange(m_levels), 1.3))  # nodes 1e-9 apart
+        cases.append((-3.0 + 1e-9 * np.arange(m_levels), 2.0))
+        for levels, beta in cases:
+            diffs = np.diff(levels, prepend=0.0)
+            value = simplex_integral_from_diffs(diffs, beta)
+            with mpmath.workdps(50):
+                nodes = [mpmath.mpf(0)]
+                running = mpmath.mpf(0)
+                for d in diffs:
+                    running += mpmath.mpf(float(d))
+                    nodes.append(-mpmath.mpf(beta) * running)
+                jordan = mpmath.diag(nodes)
+                for k in range(m_levels):
+                    jordan[k, k + 1] = 1
+                expected = mpmath.expm(jordan)[0, m_levels] * mpmath.mpf(beta) ** m_levels
+                err = abs((mpmath.mpf(value) - expected) / expected)
+            assert err <= 1e-13, (levels, beta, float(err))
+
+    def test_batched_equals_row_by_row(self):
+        rng = np.random.default_rng(5)
+        diffs = rng.uniform(-20.0, 20.0, size=(3, 2500, 4))
+        diffs[0, :10] = 0.0
+        batched = simplex_integral_from_diffs(diffs, 1.7)
+        assert batched.shape == (3, 2500)
+        rows = [simplex_integral_from_diffs(row, 1.7) for row in diffs.reshape(-1, 4)]
+        assert all(isinstance(v, float) for v in rows)
+        assert np.array_equal(batched.reshape(-1), np.array(rows))
 
     def test_beta_zero(self):
-        assert simplex_exponential_integral(SimplexIntegrand((1.0, 2.0), 0.0)) == 0.0
+        assert simplex_integral_from_diffs((1.0, 1.0), 0.0) == 0.0
+
+    def test_overflow_raises(self):
+        # largest node beta * 400 = 800 > log(max double)
+        with pytest.raises(FloatingPointError):
+            simplex_integral_from_diffs((-400.0, 1.0), 2.0)
+        # finite coefficients whose level sum leaves the double range
+        with pytest.raises(FloatingPointError):
+            simplex_integral_from_diffs((1e308, 1e308), 1.0)
 
     def test_level_guard(self):
+        assert simplex_integral_from_diffs((1.0,) * MAX_LEVELS, 1.0) > 0.0
         with pytest.raises(SizeLimitError):
-            simplex_exponential_integral(SimplexIntegrand((1.0,) * 5, 1.0))
+            simplex_integral_from_diffs((1.0,) * (MAX_LEVELS + 1), 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SimplexIntegrand((), 1.0)
+            simplex_integral_from_diffs((), 1.0)
         with pytest.raises(ValueError):
-            SimplexIntegrand((math.inf,), 1.0)
+            simplex_integral_from_diffs((math.inf,), 1.0)
         with pytest.raises(ValueError):
-            SimplexIntegrand((1.0,), -0.5)
+            simplex_integral_from_diffs((1.0, math.nan), 1.0)
+        with pytest.raises(ValueError):
+            simplex_integral_from_diffs((1.0,), -0.5)
+        with pytest.raises(ValueError):
+            simplex_integral_from_diffs((1.0,), math.nan)
 
 
 class TestTreeRoute:
@@ -279,6 +334,17 @@ class TestTreeRoute:
                 expected = sum(subset_energy(m, comp) for comp in comps)
                 assert math.isclose(coeffs[k - 1], expected, rel_tol=1e-12, abs_tol=1e-12)
 
+    def test_level_table_matches_prefix_partitions(self):
+        m = random_interaction_matrix(4, 31)
+        table = tree_level_coefficients(m)
+        assert table.shape == (16, 6, 3)
+        rows = table.reshape(-1, 3)
+        trees = list(enumerate_labeled_trees(4, with_labelings=True))
+        assert len(trees) == len(rows)
+        for tree, row in zip(trees, rows):
+            expected = tree_exponent_coefficients(tree, m)
+            assert np.allclose(row, expected, rtol=1e-14, atol=1e-14), tree
+
     def test_two_point_closed_form(self):
         m = InteractionMatrix.from_entries(2, {(1, 2): 0.8})
         expected = math.expm1(-1.3 * 0.8)
@@ -289,13 +355,16 @@ class TestTreeRoute:
 
     def test_matches_partition_sum_n4(self):
         m = random_interaction_matrix(4, 123)
-        tree = ursell_tree_integral(m, 1.0, tol=1e-6)
+        tree = ursell_tree_integral(m, 1.0)
         part = ursell_partition_sum(m, 1.0)
-        assert rel_diff(tree, part) < 1e-6
+        assert rel_diff(tree, part) < 1e-10
 
     def test_size_guard(self):
+        assert MAX_INTEGRAL_ROUTE_N == 6
         with pytest.raises(SizeLimitError):
-            ursell_tree_integral(random_interaction_matrix(6, 0), 1.0)
+            ursell_tree_integral(random_interaction_matrix(7, 0), 1.0)
+        with pytest.raises(SizeLimitError):
+            merge_sequence_expansion(random_interaction_matrix(7, 0), 1.0)
 
 
 class TestMergeRoute:
@@ -331,6 +400,15 @@ class TestMergeRoute:
                 total += count
             assert total == n ** (n - 2) * math.factorial(n - 1)
 
+    def test_step_energies_match_block_pair_energies(self):
+        m = random_interaction_matrix(4, 32)
+        table = merge_step_energies(m)
+        states = list(merge_histories(4))
+        assert table.shape == (len(states), 3)
+        for state, row in zip(states, table):
+            expected = [block_pair_energy(m, pair) for pair in state.history]
+            assert np.allclose(row, expected, rtol=1e-14, atol=1e-14), state.history
+
     def test_two_point_value(self):
         m = InteractionMatrix.from_entries(2, {(1, 2): 0.8})
         expected = math.expm1(-1.3 * 0.8)
@@ -338,9 +416,9 @@ class TestMergeRoute:
 
     def test_matches_tree_integral(self):
         m = random_interaction_matrix(4, 77)
-        a = merge_sequence_expansion(m, 1.0, tol=1e-6)
-        b = ursell_tree_integral(m, 1.0, tol=1e-6)
-        assert rel_diff(a, b) < 1e-6
+        a = merge_sequence_expansion(m, 1.0)
+        b = ursell_tree_integral(m, 1.0)
+        assert rel_diff(a, b) < 1e-10
 
     @given(st.integers(0, 40))
     @settings(max_examples=20, deadline=None)
@@ -417,11 +495,18 @@ class TestFourRouteAgreement:
             t = ursell_tree_integral(m, beta)
             mg = merge_sequence_expansion(m, beta)
             assert rel_diff(g, p) < 1e-10
-            assert rel_diff(t, g) < 1e-5
-            assert rel_diff(mg, g) < 1e-5
+            assert rel_diff(t, g) < 1e-10
+            assert rel_diff(mg, g) < 1e-10
 
     def test_n5_integral_routes(self):
         m = random_interaction_matrix(5, 4)
         g = ursell_graph_sum(m, 1.0)
-        assert rel_diff(ursell_tree_integral(m, 1.0), g) < 1e-5
-        assert rel_diff(merge_sequence_expansion(m, 1.0), g) < 1e-5
+        assert rel_diff(ursell_tree_integral(m, 1.0), g) < 1e-10
+        assert rel_diff(merge_sequence_expansion(m, 1.0), g) < 1e-10
+
+    def test_n6_integral_routes(self):
+        m = random_interaction_matrix(6, 5)
+        for beta in (0.3, 2.7):
+            g = ursell_graph_sum(m, beta)
+            assert rel_diff(ursell_tree_integral(m, beta), g) < 1e-10
+            assert rel_diff(merge_sequence_expansion(m, beta), g) < 1e-10
