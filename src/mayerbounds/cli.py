@@ -344,6 +344,8 @@ def main(argv=None) -> int:
         parser.error(f"identity check supports 2 <= n <= {MAX_IDENTITY_N}, got n={args.n}")
     if args.command == "identity" and not (math.isfinite(args.beta) and args.beta >= 0):
         parser.error(f"beta must be finite and non-negative, got {args.beta!r}")
+    if args.command == "bounds" and not (math.isfinite(args.beta) and args.beta > 0):
+        parser.error(f"beta must be finite and positive, got {args.beta!r}")
     try:
         if args.command == "identity":
             return cmd_identity(args)

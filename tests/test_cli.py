@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, output formats, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -137,6 +138,21 @@ class TestBounds:
         with pytest.raises(SystemExit) as info:
             main(["bounds"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-1", "0"])
+    def test_bad_beta_is_usage_error(self, beta, capsys):
+        # before the check, nan printed NaN into the JSON, -1 exited 3 after
+        # bare RuntimeWarnings and 0 printed NaN ratios
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as info:
+            warnings.simplefilter("always")
+            main(["bounds", "--beta", beta, "--a", "0.6", "--format", "json"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert not caught
+        usage, error = captured.err.split("\nmayerbounds: error: ")
+        assert usage.startswith("usage: mayerbounds")
+        assert error == f"beta must be finite and positive, got {float(beta)!r}\n"
 
     def test_csv_format(self, capsys):
         code, out = run(["bounds", "--a", "0.6397", "--format", "csv"], capsys)

@@ -17,7 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from mayerbounds.combinatorics import SizeLimitError, enumerate_labeled_trees
+from mayerbounds.combinatorics import (
+    SizeLimitError,
+    enumerate_labeled_trees,
+    enumerate_partitions,
+)
 from mayerbounds.quadrature import stable_ratio
 from mayerbounds.simplex import MAX_LEVELS, simplex_integral_from_diffs
 from mayerbounds.ursell import (
@@ -37,6 +41,7 @@ from mayerbounds.ursell import (
     ursell_graph_sum,
     ursell_partition_sum,
     ursell_tree_integral,
+    _subset_energies,
 )
 
 
@@ -171,11 +176,110 @@ class TestGraphAndPartitionSums:
         with pytest.raises(SizeLimitError):
             ursell_graph_sum(random_interaction_matrix(8, 0), 1.0)
         with pytest.raises(SizeLimitError):
-            ursell_partition_sum(InteractionMatrix(13, np.zeros((13, 13))), 1.0)
+            ursell_partition_sum(InteractionMatrix(15, np.zeros((15, 15))), 1.0)
 
     def test_deterministic_across_calls(self):
         m = random_interaction_matrix(6, 5)
         assert ursell_graph_sum(m, 1.7) == ursell_graph_sum(m, 1.7)
+
+
+def partition_mobius_mp(m, beta):
+    """Explicit Mobius sum over every set partition of [n], at 40 digits."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for partition in enumerate_partitions(m.n):
+            k = len(partition.blocks)
+            energy = mpmath.fsum(mpmath.mpf(subset_energy(m, b)) for b in partition.blocks)
+            total += (-1) ** (k - 1) * math.factorial(k - 1) * mpmath.exp(-beta * energy)
+        return total
+
+
+def subset_recursion_mp(m, beta):
+    """phi(S) = Z(S) - sum phi(T) Z(S minus T) over T holding vertex 1, at 40
+    digits, with U summed exactly from the float entries."""
+    n, vals = m.n, m.effective_values()
+    with mpmath.workdps(40):
+        u = [mpmath.mpf(0)] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = (mask & -mask).bit_length() - 1
+            rest = mask ^ (1 << low)
+            u[mask] = u[rest] + mpmath.fsum(
+                mpmath.mpf(vals[low, v]) for v in range(n) if rest >> v & 1
+            )
+        z = [mpmath.exp(-mpmath.mpf(beta) * x) for x in u]
+        phi = [mpmath.mpf(0)] * (1 << n)
+        phi[1] = mpmath.mpf(1)
+        for s in range(3, 1 << n, 2):  # proper subsets come first
+            rest = s ^ 1
+            acc, sub = mpmath.mpf(0), (rest - 1) & rest
+            while True:
+                acc += phi[sub | 1] * z[rest ^ sub]
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+            phi[s] = z[s] - acc
+        return phi[-1]
+
+
+def uniform_ursell_mp(n, x):
+    """phi([n]) when every Z(S) = x^C(|S|,2): n! [t^n] log sum_k x^C(k,2) t^k/k!
+    (exponential formula), at 40 digits."""
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(x) ** (k * (k - 1) // 2) / mpmath.factorial(k) for k in range(n + 1)]
+        g = [mpmath.mpf(0)] * (n + 1)
+        for j in range(1, n + 1):
+            g[j] = a[j] - mpmath.fsum(k * g[k] * a[j - k] for k in range(1, j)) / j
+        return g[n] * mpmath.factorial(n)
+
+
+class TestPartitionRoute:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_explicit_mobius_sum(self, n):
+        for seed in range(2):
+            m = random_interaction_matrix(n, 31 * n + seed)
+            for beta in (0.3, 1.0, 2.7):
+                expected = partition_mobius_mp(m, beta)
+                got = ursell_partition_sum(m, beta)
+                assert float(abs(got - expected) / abs(expected)) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [0.3, 2.7])
+    def test_rounding_at_n12(self, beta):
+        m = random_interaction_matrix(12, 1205)
+        expected = subset_recursion_mp(m, beta)
+        got = ursell_partition_sum(m, beta)
+        assert float(abs(got - expected) / abs(expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_uniform_matrix_up_to_the_guard(self, n):
+        # every k-subset has the same Z, so the exponential formula gives
+        # phi([n]) in closed form; -0.2 at beta 0.3 is the most cancelling case
+        for c, beta in ((0.5, 1.0), (-0.2, 0.3), (1.5, 2.7)):
+            v = np.full((n, n), c)
+            np.fill_diagonal(v, 0.0)
+            expected = uniform_ursell_mp(n, mpmath.exp(-mpmath.mpf(beta) * c))
+            got = ursell_partition_sum(InteractionMatrix(n, v), beta)
+            assert float(abs(got - expected) / abs(expected)) <= 1e-12
+
+    def test_subset_energies_match_subset_energy(self):
+        n = 6
+        m = random_interaction_matrix(n, 6)
+        # entries on a 2^-10 grid make every partial sum exact in both orders
+        dyadic = InteractionMatrix(n, np.round(m.values * 1024) / 1024)
+        for matrix, tol in ((m, 1e-14), (dyadic, 0.0)):
+            u = _subset_energies(matrix)
+            assert len(u) == 1 << n
+            for mask in range(1 << n):
+                members = [v + 1 for v in range(n) if mask >> v & 1]
+                assert abs(float(u[mask]) - subset_energy(matrix, members)) <= tol
+
+    def test_hard_core_requires_cutoff(self):
+        v = random_interaction_matrix(4, 3).values.copy()
+        v[1, 2] = v[2, 1] = np.inf
+        m = InteractionMatrix(4, v)
+        with pytest.raises(HardCoreCutoffError):
+            ursell_partition_sum(m, 1.0)
+        cut = m.with_cutoff(30.0)
+        assert rel_diff(ursell_partition_sum(cut, 1.0), ursell_graph_sum(cut, 1.0)) < 1e-10
 
 
 class TestSimplexIntegral:
