@@ -29,7 +29,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -100,8 +100,8 @@ def h_factor(u):
 def _abs_tail_terms(potential: PairPotential, beta: float, spec: QuadratureSpec):
     """beta |V| beyond the tail cut as signed power-law terms.
 
-    Assumes V does not change sign beyond the cut (true for every supported
-    kind: all feature radii lie far inside the default cut of 50).
+    Assumes V does not change sign beyond the cut, which holds once the cut
+    lies past every feature radius (see _spec_past_features).
     """
     terms = potential.tail_terms()
     if terms is None:
@@ -116,8 +116,17 @@ def _outer_breaks(potential: PairPotential, lo: float, spec: QuadratureSpec):
     return tuple(r for r in potential.feature_radii() if lo < r < spec.tail_cut)
 
 
+def _spec_past_features(potential: PairPotential, spec: QuadratureSpec) -> QuadratureSpec:
+    """spec with tail_cut moved out to the last feature radius if that lies
+    past it: tail_terms() hold only beyond every feature radius, so the mass
+    up to there must be integrated numerically, not dropped."""
+    last = max(potential.feature_radii(), default=0.0)
+    return replace(spec, tail_cut=last) if last > spec.tail_cut else spec
+
+
 def _outer_abs(potential, a, beta, spec) -> tuple[float, float]:
     """(value, err) of int_{|x|>=a} beta |V|."""
+    spec = _spec_past_features(potential, spec)
     return radial_integral_err(
         lambda r: beta * np.abs(potential(r)),
         potential.d,
@@ -166,8 +175,22 @@ def _mps_inner_exp(potential, a, beta, spec) -> tuple[float, float]:
     )
 
 
+def _pr_integral(potential, beta, spec) -> tuple[float, float]:
+    """(value, err) of int |e^{-beta V} - 1| over R^d."""
+    spec = _spec_past_features(potential, spec)
+    return radial_integral_err(
+        lambda r: np.abs(np.expm1(-beta * potential(r))),
+        potential.d,
+        0.0,
+        math.inf,
+        spec,
+        tail=_abs_tail_terms(potential, beta, spec),
+        breakpoints=_outer_breaks(potential, 0.0, spec),
+    )
+
+
 def _is_zero_potential(potential: PairPotential, spec: QuadratureSpec) -> bool:
-    probe = np.geomspace(1e-3, spec.tail_cut, 256)
+    probe = np.concatenate([np.geomspace(1e-3, spec.tail_cut, 256), potential.feature_radii()])
     if np.any(potential(probe) != 0.0):
         return False
     terms = potential.tail_terms()
@@ -204,20 +227,7 @@ def penrose_ruelle(
     the neglected higher orders are below (beta |V(cut)|)^2/2, which the
     default cut keeps far under the quadrature tolerance.
     """
-    spec = spec or DEFAULT_SPEC
-
-    def g(r):
-        return np.abs(np.expm1(-beta * potential(r)))
-
-    value, _ = radial_integral_err(
-        g,
-        potential.d,
-        0.0,
-        math.inf,
-        spec,
-        tail=_abs_tail_terms(potential, beta, spec),
-        breakpoints=_outer_breaks(potential, 0.0, spec),
-    )
+    value, _ = _pr_integral(potential, beta, spec or DEFAULT_SPEC)
     return value, _radius_pr(value, beta, b)
 
 
@@ -462,15 +472,7 @@ def compare_report(
     hat_inner, hat_err = _c_hat_inner(potential, a, beta, bbar, spec)
     mps_exp, mps_err = _mps_inner_exp(potential, a, beta, spec)
     va_mass = beta * parts.value_at_cut * sphere_volume(a, potential.d)
-    c_pr, pr_err = radial_integral_err(
-        lambda r: np.abs(np.expm1(-beta * potential(r))),
-        potential.d,
-        0.0,
-        math.inf,
-        spec,
-        tail=_abs_tail_terms(potential, beta, spec),
-        breakpoints=_outer_breaks(potential, 0.0, spec),
-    )
+    c_pr, pr_err = _pr_integral(potential, beta, spec)
 
     c_tilde = mps_exp + va_mass + outer
     c_star = star_inner + outer

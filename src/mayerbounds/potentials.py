@@ -202,16 +202,19 @@ class TabulatedPotential(PairPotential):
     knots: tuple[tuple[float, float], ...]
     d: int = 3
     kind: str = field(default="tabulated", init=False)
+    # knot arrays for np.interp, built once; not part of eq, hash or repr
+    _radii: np.ndarray = field(init=False, compare=False, repr=False)
+    _values: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         radii = [r for r, _ in self.knots]
         if not radii or any(r <= 0 for r in radii) or sorted(radii) != radii:
             raise ValueError("knots must be sorted with positive radii")
+        object.__setattr__(self, "_radii", np.array(radii))
+        object.__setattr__(self, "_values", np.array([v for _, v in self.knots]))
 
     def _evaluate(self, r):
-        radii = np.array([k[0] for k in self.knots])
-        values = np.array([k[1] for k in self.knots])
-        return np.interp(r, radii, values, left=values[0], right=0.0)
+        return np.interp(r, self._radii, self._values, left=self._values[0], right=0.0)
 
     def tail_terms(self):
         return ()

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .potentials import LennardJones, LJTypeEnvelope, PairPotential
-from .quadrature import QuadratureSpec, radial_integral
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, radial_integral
 
 __all__ = [
     "MethodDomainError",
@@ -122,6 +123,20 @@ def lj_stability_registry() -> StabilityData:
 PREVIOUS_LJ_B_UPPER = 41.66
 
 
+@lru_cache(maxsize=32)
+def _eta_bar_integral(envelope: LJTypeEnvelope, spec: QuadratureSpec) -> float:
+    """int eta-bar over R^d; independent of the cut, so a cut search pays it once."""
+    return radial_integral(
+        envelope.eta_bar,
+        envelope.d,
+        0.0,
+        math.inf,
+        spec,
+        tail=((envelope.c_attraction, envelope.d + envelope.decay_surplus),),
+        breakpoints=(envelope.r2,),
+    )
+
+
 def mu_upper_cube(
     envelope: LJTypeEnvelope, a: float, spec: QuadratureSpec | None = None
 ) -> MuBound:
@@ -135,16 +150,7 @@ def mu_upper_cube(
             f"cube-packing bound needs 0 < a < r1 = {envelope.r1}, got a = {a}"
         )
     d = envelope.d
-    p = d + envelope.decay_surplus
-    integral = radial_integral(
-        envelope.eta_bar,
-        d,
-        0.0,
-        math.inf,
-        spec,
-        tail=((envelope.c_attraction, p),),
-        breakpoints=(envelope.r2,),
-    )
+    integral = _eta_bar_integral(envelope, spec or DEFAULT_SPEC)
     value = (4.0 * d) ** (d / 2.0) * integral / a**d
     return MuBound(a=a, value=value, method="cube-packing")
 

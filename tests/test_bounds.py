@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from mayerbounds.bounds import (
     BoundReport,
@@ -31,6 +32,7 @@ from mayerbounds.bounds import (
 )
 from mayerbounds.potentials import (
     InversePower,
+    NotBasuevAtCutError,
     LennardJones,
     TabulatedPotential,
     hard_core_wrap,
@@ -271,3 +273,49 @@ class TestCompareReport:
             LJ, 1.0, 0.6397, REGISTRY, reference_radii={"lp": 1e-12}
         )
         assert "hat_over_lp" in report.ratios
+
+
+class TestKnotsBeyondTailCut:
+    """Tabulated knots past spec.tail_cut = 50: the mass out to the last knot
+    must be integrated, not dropped.  Oracle: scipy quad, knot segment by
+    knot segment (the integrands are smooth on each)."""
+
+    KNOTS = ((0.5, 50.0), (1.0, -1.0), (20.0, -0.5), (81.0, -0.1))
+    CUT = 0.6
+    BETA = 1.0
+
+    @staticmethod
+    def radial_quad(g, lo, knots):
+        edges = [lo] + [r for r, _ in knots if r > lo]
+        total = 0.0
+        for left, right in zip(edges[:-1], edges[1:]):
+            value, _ = integrate.quad(
+                lambda r: 4.0 * math.pi * r * r * g(r), left, right, epsabs=0.0, epsrel=1e-13
+            )
+            total += value
+        return total
+
+    def test_outer_and_penrose_ruelle_reach_the_last_knot(self):
+        tab = TabulatedPotential(knots=self.KNOTS)
+        beta = self.BETA
+        outer = self.radial_quad(lambda r: beta * abs(tab(r)), self.CUT, self.KNOTS)
+        c_pr = self.radial_quad(lambda r: abs(math.expm1(-beta * tab(r))), 0.0, self.KNOTS)
+        report = compare_report(tab, beta, self.CUT, REGISTRY)
+        # to the requested rel_tol = 1e-8 (the kink of |e^{-V} - 1| at the
+        # zero of V is not a breakpoint; the error there is ~3e-9)
+        assert math.isclose(report.pieces["outer_abs"], outer, rel_tol=1e-8)
+        assert math.isclose(report.c_pr, c_pr, rel_tol=1e-8)
+        assert math.isclose(penrose_ruelle(tab, beta, 0.0)[0], c_pr, rel_tol=1e-8)
+        c_star, _ = basuev_c_star(tab, self.CUT, beta, REGISTRY.b_upper)
+        assert math.isclose(c_star, report.c_star, rel_tol=1e-12)
+        assert c_star > outer
+
+    def test_potential_zero_inside_the_cut_is_not_reported_as_zero(self):
+        # V vanishes on (0, 55) and is positive past 50 only; the old probe
+        # stopped at tail_cut and returned the "identically zero" report
+        tab = TabulatedPotential(knots=((55.0, 0.0), (58.0, 1.0), (60.0, 0.0)))
+        with pytest.raises(NotBasuevAtCutError):
+            compare_report(tab, 1.0, 0.6, REGISTRY)
+        c_value, _ = penrose_ruelle(tab, 1.0, 0.0)
+        expected = self.radial_quad(lambda r: abs(math.expm1(-tab(r))), 0.0, tab.knots)
+        assert math.isclose(c_value, expected, rel_tol=1e-8)

@@ -1,5 +1,6 @@
 """Quadrature engine, stable ratios, and radial integrals vs independent oracles."""
 
+import heapq
 import math
 
 import mpmath
@@ -9,16 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from mayerbounds import quadrature
+from mayerbounds.bounds import offset_stable_ratio
+from mayerbounds.potentials import LennardJones
 from mayerbounds.quadrature import (
+    DEFAULT_SPEC,
     QuadratureConvergenceError,
     QuadratureSpec,
     TemperednessError,
+    edge_ladder,
     expm1_over_x,
     integrate_adaptive,
     radial_integral,
+    sphere_surface,
     sphere_volume,
     stable_ratio,
 )
+from mayerbounds.stability import lj_stability_registry
 
 finite_floats = st.floats(
     min_value=-700.0, max_value=700.0, allow_nan=False, allow_infinity=False
@@ -140,3 +148,167 @@ class TestRadialIntegral:
             QuadratureSpec(rel_tol=0.0)
         halved = QuadratureSpec().halved()
         assert halved.rel_tol == QuadratureSpec().rel_tol / 2
+
+
+def reference_integrate(
+    f, lo, hi, *, rel_tol=1e-8, abs_tol=1e-12, max_panels=4000, breakpoints=(), sub_resolution=None
+):
+    """Per-panel oracle for integrate_adaptive: two integrand calls per panel
+    (GL16 nodes, then GL32 nodes) from numpy's own Gauss-Legendre rules, and
+    the same largest-error-first refinement.  Appends each panel that is
+    too narrow to split to `sub_resolution`."""
+    x16, w16 = np.polynomial.legendre.leggauss(16)
+    x32, w32 = np.polynomial.legendre.leggauss(32)
+
+    def panel(a, b):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        coarse = half * float(np.dot(w16, f(mid + half * x16)))
+        fine = half * float(np.dot(w32, f(mid + half * x32)))
+        return fine, abs(fine - coarse)
+
+    edges = [lo] + [p for p in sorted(set(map(float, breakpoints))) if lo < p < hi] + [hi]
+    heap = []
+    total = total_err = 0.0
+    n_panels = 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        value, err = panel(a, b)
+        heapq.heappush(heap, (-err, a, b, value, err))
+        total += value
+        total_err += err
+        n_panels += 1
+    while total_err > max(abs_tol, rel_tol * abs(total)):
+        if n_panels >= max_panels:
+            raise QuadratureConvergenceError("budget", value=total, achieved_error=total_err)
+        _, a, b, value, err = heapq.heappop(heap)
+        total -= value
+        total_err -= err
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            if sub_resolution is not None:
+                sub_resolution.append((a, b))
+            total += value
+            total_err += err
+            heapq.heappush(heap, (0.0, a, b, value, 0.0))
+            continue
+        for aa, bb in ((a, mid), (mid, b)):
+            v, e = panel(aa, bb)
+            heapq.heappush(heap, (-e, aa, bb, v, e))
+            total += v
+            total_err += e
+        n_panels += 1
+    return total, total_err
+
+
+def outcome(integrate, *args, **kwargs):
+    """(value, err), or the (value, achieved_error) a budget failure carries."""
+    try:
+        return integrate(*args, **kwargs)
+    except QuadratureConvergenceError as exc:
+        return ("budget", exc.value, exc.achieved_error)
+
+
+# the cases of TestIntegrateAdaptive: (f, lo, hi, keyword arguments)
+ADAPTIVE_CASES = {
+    "polynomial": (lambda x: x**7 - 3 * x**2, 0.0, 2.0, {}),
+    "kink": (np.abs, -1.0, 2.0, {}),
+    "kink_tight": (np.abs, -1.0, 2.0, {"rel_tol": 1e-12}),
+    "spike": (
+        lambda x: np.exp(-((x - 0.5) / 1e-6) ** 2),
+        0.0,
+        1.0,
+        {"breakpoints": (0.5 - 5e-6, 0.5, 0.5 + 5e-6)},
+    ),
+    "budget": (
+        lambda x: np.sin(1000.0 * x),
+        0.0,
+        50.0,
+        {"rel_tol": 1e-14, "abs_tol": 1e-300, "max_panels": 3},
+    ),
+    "mixture": (lambda x: np.exp(-x) * np.cos(3 * x) + x**2, 0.0, 4.0, {}),
+}
+
+
+def lj_inner_integrand(piece, a, beta):
+    """Radial integrand (4 pi r^2 times g) of the C*, C^ or MPS inner piece."""
+    lj = LennardJones()
+    v_a = lj(a)
+    y = beta * lj_stability_registry().bbar_upper
+    g = {
+        "c_star": lambda v: beta * np.abs(v) * stable_ratio(beta * (v - v_a)),
+        "c_hat": lambda v: beta * np.abs(v) * offset_stable_ratio(beta * (v - v_a), y),
+        "mps": lambda v: -np.expm1(-beta * (v - v_a)),
+    }[piece]
+    surface = sphere_surface(3)
+    return lambda r: surface * r**2 * g(lj(r))
+
+
+class TestBatchedEngine:
+    """One integrand call per step; every result equal bit for bit to the
+    per-panel engine it replaced."""
+
+    @pytest.mark.parametrize("n, nodes, weights", [
+        (16, quadrature._X16, quadrature._W16),
+        (32, quadrature._X32, quadrature._W32),
+    ])
+    def test_rules_equal_leggauss(self, n, nodes, weights):
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert nodes.tobytes() == x.tobytes()
+        assert weights.tobytes() == w.tobytes()
+
+    def test_one_call_for_the_seeds_then_one_per_split(self):
+        sizes = []
+
+        def f(x):
+            assert x.ndim == 1
+            sizes.append(x.size)
+            return np.sqrt(x)
+
+        value, err = integrate_adaptive(f, 0.0, 1.0, breakpoints=(0.25, 0.5))
+        reference_sizes = []
+
+        def g(x):
+            reference_sizes.append(x.size)
+            return np.sqrt(x)
+
+        assert (value, err) == reference_integrate(g, 0.0, 1.0, breakpoints=(0.25, 0.5))
+        splits = len(sizes) - 1
+        assert splits > 3
+        assert sizes == [48 * 3] + [48 * 2] * splits
+        assert len(reference_sizes) == 2 * (3 + 2 * splits)
+        assert sum(reference_sizes) == sum(sizes)
+
+    @pytest.mark.parametrize("case", sorted(ADAPTIVE_CASES))
+    def test_adaptive_cases_match_per_panel_reference(self, case):
+        f, lo, hi, kwargs = ADAPTIVE_CASES[case]
+        got = outcome(integrate_adaptive, f, lo, hi, **kwargs)
+        assert got == outcome(reference_integrate, f, lo, hi, **kwargs)
+        assert (got[0] == "budget") == (case == "budget")
+
+    @pytest.mark.parametrize("piece", ["c_star", "c_hat", "mps"])
+    @pytest.mark.parametrize("a", [0.35, 0.6397, 0.69])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_lj_inner_integrands_match_per_panel_reference(self, piece, a, beta):
+        f = lj_inner_integrand(piece, a, beta)
+        kwargs = dict(
+            rel_tol=DEFAULT_SPEC.rel_tol,
+            abs_tol=DEFAULT_SPEC.abs_tol,
+            max_panels=DEFAULT_SPEC.max_subdivisions,
+            breakpoints=edge_ladder(0.0, a),
+        )
+        assert integrate_adaptive(f, 0.0, a, **kwargs) == reference_integrate(f, 0.0, a, **kwargs)
+
+    def test_sub_resolution_panels_then_budget_match_reference(self):
+        # noise confined to 17 floats around c: the panels there shrink to
+        # one ulp, cannot be split and keep their error, so the budget ends
+        # the run; the panels of f = 0 elsewhere have zero error
+        c = 0.75
+        ulp = float(np.spacing(c))
+        f = lambda x: np.where(np.abs(x - c) <= 8 * ulp, np.sin(1e20 * x), 0.0)
+        kwargs = dict(
+            rel_tol=1e-300, abs_tol=1e-300, max_panels=30, breakpoints=(c - 8 * ulp, c + 8 * ulp)
+        )
+        narrow = []
+        expected = outcome(reference_integrate, f, 0.0, 1.0, sub_resolution=narrow, **kwargs)
+        assert narrow and expected[0] == "budget" and expected[2] > 0.0
+        assert outcome(integrate_adaptive, f, 0.0, 1.0, **kwargs) == expected

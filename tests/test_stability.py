@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mayerbounds.potentials import InversePower, LennardJones, LJTypeEnvelope, lennard_jones
-from mayerbounds.quadrature import sphere_surface
+from mayerbounds import quadrature
+from mayerbounds.quadrature import QuadratureSpec, sphere_surface
 from mayerbounds.stability import (
     GENERAL_BBAR_RATIO,
     MethodDomainError,
@@ -124,6 +125,25 @@ class TestFindMaxA:
         best = find_max_a(LJ, "cube", (0.1, 0.79), tol=1e-5)
         assert best < 0.6397
         assert 0.4 < best < 0.5
+
+    def test_cube_search_integrates_eta_bar_once(self, monkeypatch):
+        # a spec no other test uses, so the first search finds the cache
+        # cold; its budget is never reached, so the numbers are the default
+        # spec's, and the cuts equal bit for bit those found when eta-bar
+        # was integrated on every bisection step
+        spec = QuadratureSpec(max_subdivisions=4001)
+        calls = []
+        original = quadrature.integrate_adaptive
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_adaptive", counting)
+        assert find_max_a(LJ, "cube", (0.15, 0.75), spec=spec) == 0.44658107757568355
+        assert len(calls) == 1
+        assert find_max_a(LJ, "cube", (0.1, 0.79), tol=1e-9, spec=spec) == 0.44658124527893966
+        assert len(calls) == 1
 
     def test_failure_at_interval_start(self):
         with pytest.raises(NoValidCutError):
