@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 
-from mayerbounds.bounds import _c_star_inner, _outer_abs, basuev_c_hat
+from mayerbounds.bounds import basuev_c_hat, bound_pieces
 from mayerbounds.potentials import LennardJones
-from mayerbounds.quadrature import DEFAULT_SPEC
 from mayerbounds.stability import criterion_holds, mu_upper_yuhjtman
 
 
@@ -29,13 +28,14 @@ def main() -> int:
     print(f"{'a':>7} {'inner':>12} {'outer':>12} {'C^(1,0)':>12} {'certified':>10}")
     for k in range(args.steps):
         a = args.lo + (args.hi - args.lo) * k / (args.steps - 1)
-        inner, _ = _c_star_inner(lj, a, args.beta, DEFAULT_SPEC)
-        outer, _ = _outer_abs(lj, a, args.beta, DEFAULT_SPEC)
+        # C^(beta, 0) = C*(beta)
+        pieces = bound_pieces(lj, a, args.beta, 0.0)
         if 0.6 <= a <= 0.7:
             certified = "yes" if criterion_holds(lj, a, mu_upper_yuhjtman(a)) else "no"
         else:
             certified = "n/a"
-        print(f"{a:>7.4f} {inner:>12.5g} {outer:>12.5g} {inner + outer:>12.5g} {certified:>10}")
+        print(f"{a:>7.4f} {pieces.pieces['c_star_inner']:>12.5g} "
+              f"{pieces.pieces['outer_abs']:>12.5g} {pieces.c_star:>12.5g} {certified:>10}")
 
     total, radius = basuev_c_hat(lj, 0.6397, args.beta, 0.0)
     print(f"\nat the published optimum a=0.6397: C^({args.beta:g},0) = {total:.4f}, "

@@ -62,11 +62,13 @@ from .stability import (
     mu_upper_yuhjtman,
 )
 from .bounds import (
+    BoundPieces,
     BoundReport,
     QuadratureSpec,
     basuev_c_hat,
     basuev_c_star,
     basuev_radius,
+    bound_pieces,
     compare_report,
     h_factor,
     hard_core_bounds,

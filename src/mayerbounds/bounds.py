@@ -15,12 +15,18 @@ radius a, four certified disk radii are assembled:
   where C^ replaces the C* inner factor by its B-bar-damped variant and
   reduces to C* at B-bar = 0.
 
+C~, C* and C^ differ only in the inner factor on |x| <= a.  One pipeline,
+`bound_pieces`, checks the cut and computes every piece once; each bound,
+`compare_report` and `reproduce` read it.
+
 All integrals are adaptive radial quadratures with closed-form power-law
 tails beyond spec.tail_cut.  The inner integrands have a boundary layer of
 width ~1/(beta |V'(a)|) just inside the cut radius; a geometric panel ladder
 seeds the quadrature there.  Near r -> 0 the inner integrands tend to the
 finite limit |V|/(V - V(a)) -> 1, and the stable ratio helpers guarantee the
-underflow of e^{-beta V} produces that limit rather than NaN.
+underflow of e^{-beta V} produces that limit rather than NaN.  The C^ factors
+never form e^{beta B-bar}, and radius ratios come from log radii, so large
+beta gives radii that underflow to 0 and ratios that overflow to inf.
 """
 
 from __future__ import annotations
@@ -53,7 +59,9 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureConvergenceError",
     "TemperednessError",
+    "BoundPieces",
     "BoundReport",
+    "bound_pieces",
     "stable_ratio",
     "offset_stable_ratio",
     "radial_integral",
@@ -71,12 +79,15 @@ __all__ = [
 def offset_stable_ratio(x, y):
     """The damped inner factor y (1 - e^{-(x-y)}) / ((x-y)(e^y - 1)).
 
-    Equals stable_ratio(x) at y = 0 and x/(e^x - 1) at y = x; via the
-    identity f = [(e^{y-x}-1)/(y-x)] / [(e^y-1)/y] every removable
-    singularity is handled by the stable expm1 ratios.  Monotone decreasing
-    in y for x >= 0, which makes the second Basuev bound at most the first.
+    Equals stable_ratio(x) at y = 0 and x/(e^x - 1) at y = x.  Computed as
+    e^{-min(x,y)} stable_ratio(|x-y|) / stable_ratio(y), so every removable
+    singularity is handled by stable_ratio and no factor overflows for
+    x, y >= 0, however large.  Monotone decreasing in y for x >= 0, which
+    makes the second Basuev bound at most the first.
     """
-    return expm1_over_x(np.asarray(y, dtype=float) - x) / expm1_over_x(y)
+    with np.errstate(over="ignore"):
+        damping = np.exp(-np.minimum(x, y))
+    return damping * stable_ratio(np.abs(np.subtract(x, y))) / stable_ratio(y)
 
 
 def h_factor(u):
@@ -97,95 +108,35 @@ def h_factor(u):
 # shared integral pieces
 # ---------------------------------------------------------------------------
 
-def _abs_tail_terms(potential: PairPotential, beta: float, spec: QuadratureSpec):
-    """beta |V| beyond the tail cut as signed power-law terms.
-
-    Assumes V does not change sign beyond the cut, which holds once the cut
-    lies past every feature radius (see _spec_past_features).
+def _outer_integral(potential, lo, beta, spec, g) -> tuple[float, float]:
+    """(value, err) of int_{|x|>=lo} g(V(|x|)), with g(v) = beta |v| + O(v^2):
+    beta |V| from lo = a is the outer piece, |e^{-beta V} - 1| from lo = 0 the
+    Penrose-Ruelle integral.  Past the tail cut g is taken as beta |V| in closed
+    form; the cut moves out to the last feature radius when that lies past it,
+    since tail_terms() hold (and V keeps one sign) only beyond every one.
     """
-    terms = potential.tail_terms()
-    if terms is None:
-        return None
-    if not terms:
-        return ()
-    sign = 1.0 if potential(spec.tail_cut) >= 0.0 else -1.0
-    return tuple((beta * sign * c, p) for c, p in terms)
-
-
-def _outer_breaks(potential: PairPotential, lo: float, spec: QuadratureSpec):
-    return tuple(r for r in potential.feature_radii() if lo < r < spec.tail_cut)
-
-
-def _spec_past_features(potential: PairPotential, spec: QuadratureSpec) -> QuadratureSpec:
-    """spec with tail_cut moved out to the last feature radius if that lies
-    past it: tail_terms() hold only beyond every feature radius, so the mass
-    up to there must be integrated numerically, not dropped."""
-    last = max(potential.feature_radii(), default=0.0)
-    return replace(spec, tail_cut=last) if last > spec.tail_cut else spec
-
-
-def _outer_abs(potential, a, beta, spec) -> tuple[float, float]:
-    """(value, err) of int_{|x|>=a} beta |V|."""
-    spec = _spec_past_features(potential, spec)
+    radii = potential.feature_radii()
+    if max(radii, default=0.0) > spec.tail_cut:
+        spec = replace(spec, tail_cut=max(radii))
+    tail = potential.tail_terms()
+    if tail is not None:
+        sign = 1.0 if potential(spec.tail_cut) >= 0.0 else -1.0
+        tail = tuple((beta * sign * c, p) for c, p in tail)
     return radial_integral_err(
-        lambda r: beta * np.abs(potential(r)),
+        lambda r: g(potential(r)),
         potential.d,
-        a,
+        lo,
         math.inf,
         spec,
-        tail=_abs_tail_terms(potential, beta, spec),
-        breakpoints=_outer_breaks(potential, a, spec),
+        tail=tail,
+        breakpoints=tuple(r for r in radii if lo < r < spec.tail_cut),
     )
 
 
-def _c_star_inner(potential, a, beta, spec) -> tuple[float, float]:
-    value_at_cut = potential(a)
-
-    def g(r):
-        v = potential(r)
-        return beta * np.abs(v) * stable_ratio(beta * (v - value_at_cut))
-
+def _inner_integral(potential, a, spec, g) -> tuple[float, float]:
+    """(value, err) of int_{|x|<=a} g(V(|x|)), with the edge ladder at a."""
     return radial_integral_err(
-        g, potential.d, 0.0, a, spec, breakpoints=edge_ladder(0.0, a)
-    )
-
-
-def _c_hat_inner(potential, a, beta, bbar, spec) -> tuple[float, float]:
-    value_at_cut = potential(a)
-    y = beta * bbar
-
-    def g(r):
-        v = potential(r)
-        return beta * np.abs(v) * offset_stable_ratio(beta * (v - value_at_cut), y)
-
-    return radial_integral_err(
-        g, potential.d, 0.0, a, spec, breakpoints=edge_ladder(0.0, a)
-    )
-
-
-def _mps_inner_exp(potential, a, beta, spec) -> tuple[float, float]:
-    """(value, err) of int_{|x|<=a} (1 - e^{-beta (V - V(a))})."""
-    value_at_cut = potential(a)
-
-    def g(r):
-        return -np.expm1(-beta * (potential(r) - value_at_cut))
-
-    return radial_integral_err(
-        g, potential.d, 0.0, a, spec, breakpoints=edge_ladder(0.0, a)
-    )
-
-
-def _pr_integral(potential, beta, spec) -> tuple[float, float]:
-    """(value, err) of int |e^{-beta V} - 1| over R^d."""
-    spec = _spec_past_features(potential, spec)
-    return radial_integral_err(
-        lambda r: np.abs(np.expm1(-beta * potential(r))),
-        potential.d,
-        0.0,
-        math.inf,
-        spec,
-        tail=_abs_tail_terms(potential, beta, spec),
-        breakpoints=_outer_breaks(potential, 0.0, spec),
+        lambda r: g(potential(r)), potential.d, 0.0, a, spec, breakpoints=edge_ladder(0.0, a)
     )
 
 
@@ -197,18 +148,98 @@ def _is_zero_potential(potential: PairPotential, spec: QuadratureSpec) -> bool:
     return terms is not None and all(c == 0.0 for c, _ in terms)
 
 
-def _radius_pr(c_value: float, beta: float, b: float) -> float:
-    return math.inf if c_value == 0.0 else math.exp(-(2.0 * beta * b + 1.0)) / c_value
+# A radius is e^{log_prefactor} / divisor.  Its ratios to other radii are
+# formed from these pairs, so they stay finite where a radius underflows.
+
+def _star_terms(c_value: float, beta: float, b: float) -> tuple[float, float]:
+    """e^{-(beta b + 1)} / c: the MPS and C* radius; with b doubled, Penrose-Ruelle."""
+    return -(beta * b + 1.0), c_value
 
 
-def _radius_star(c_value: float, beta: float, b: float) -> float:
-    return math.inf if c_value == 0.0 else math.exp(-(beta * b + 1.0)) / c_value
+def _hat_terms(c_value: float, beta: float, bbar: float) -> tuple[float, float]:
+    # beta B-bar / (e (e^{beta B-bar} - 1)) = e^{-1 - beta B-bar} / stable_ratio(beta B-bar)
+    y = beta * bbar
+    return -1.0 - y, stable_ratio(y) * c_value
 
 
-def _radius_hat(c_value: float, beta: float, bbar: float) -> float:
-    if c_value == 0.0:
+def _radius(terms: tuple[float, float]) -> float:
+    log_prefactor, divisor = terms
+    return math.inf if divisor == 0.0 else math.exp(log_prefactor) / divisor
+
+
+def _ratio(num: tuple[float, float], den: tuple[float, float]) -> float:
+    """radius num / radius den; inf where it passes the double range."""
+    try:
+        scale = math.exp(num[0] - den[0])
+    except OverflowError:
         return math.inf
-    return math.exp(-1.0) / (expm1_over_x(beta * bbar) * c_value)
+    return scale * den[1] / num[1]
+
+
+# ---------------------------------------------------------------------------
+# the bound pieces
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BoundPieces:
+    """The integrals behind C~, C* and C^ at one cut radius a, keyed as in
+    BoundReport: outer_abs, c_star_inner, c_hat_inner, mps_inner_exp and the
+    exact mps_va_mass = beta V(a) W_a, which has no error estimate.  `is_zero`
+    marks an identically zero potential, whose pieces are all 0.
+    """
+
+    pieces: dict[str, float]
+    error_estimates: dict[str, float]
+    is_zero: bool = False
+
+    @property
+    def c_tilde(self) -> float:
+        p = self.pieces
+        return p["mps_inner_exp"] + p["mps_va_mass"] + p["outer_abs"]
+
+    @property
+    def c_star(self) -> float:
+        return self.pieces["c_star_inner"] + self.pieces["outer_abs"]
+
+    @property
+    def c_hat(self) -> float:
+        return self.pieces["c_hat_inner"] + self.pieces["outer_abs"]
+
+
+def bound_pieces(
+    potential: PairPotential,
+    a: float,
+    beta: float,
+    bbar: float,
+    spec: QuadratureSpec | None = None,
+) -> BoundPieces:
+    """Every integral of C~, C* and C^(beta, bbar) at cut a, each once.
+
+    Checks the cut precondition V(r) >= V(a) > 0 (split raises
+    NotBasuevAtCutError); at bbar = 0 the C^ inner piece equals the C* one.
+    """
+    spec = spec or DEFAULT_SPEC
+    if bbar < 0:
+        raise ValueError("bbar must be non-negative")
+    if _is_zero_potential(potential, spec):
+        zeros = dict.fromkeys(("outer_abs", "c_star_inner", "c_hat_inner", "mps_inner_exp"), 0.0)
+        return BoundPieces(dict(zeros, mps_va_mass=0.0), zeros, is_zero=True)
+    value_at_cut = split(potential, a).value_at_cut
+    y = beta * bbar
+
+    def excess(v):
+        return beta * (v - value_at_cut)
+
+    factors = {
+        "c_star_inner": lambda v: beta * np.abs(v) * stable_ratio(excess(v)),
+        "c_hat_inner": lambda v: beta * np.abs(v) * offset_stable_ratio(excess(v), y),
+        "mps_inner_exp": lambda v: -np.expm1(-excess(v)),
+    }
+    integrals = {name: _inner_integral(potential, a, spec, g) for name, g in factors.items()}
+    integrals["outer_abs"] = _outer_integral(potential, a, beta, spec, lambda v: beta * np.abs(v))
+    pieces = {name: value for name, (value, _) in integrals.items()}
+    pieces["mps_va_mass"] = beta * value_at_cut * sphere_volume(a, potential.d)
+    return BoundPieces(pieces, {name: err for name, (_, err) in integrals.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +258,10 @@ def penrose_ruelle(
     the neglected higher orders are below (beta |V(cut)|)^2/2, which the
     default cut keeps far under the quadrature tolerance.
     """
-    value, _ = _pr_integral(potential, beta, spec or DEFAULT_SPEC)
-    return value, _radius_pr(value, beta, b)
+    value, _ = _outer_integral(
+        potential, 0.0, beta, spec or DEFAULT_SPEC, lambda v: np.abs(np.expm1(-beta * v))
+    )
+    return value, _radius(_star_terms(value, beta, 2.0 * b))
 
 
 def mps_bound(
@@ -239,15 +272,8 @@ def mps_bound(
     spec: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
     """(C~(beta), radius): the short-range/integrable-split bound at cut a."""
-    spec = spec or DEFAULT_SPEC
-    if _is_zero_potential(potential, spec):
-        return 0.0, math.inf
-    parts = split(potential, a)
-    inner_exp, _ = _mps_inner_exp(potential, a, beta, spec)
-    va_mass = beta * parts.value_at_cut * sphere_volume(a, potential.d)
-    outer, _ = _outer_abs(potential, a, beta, spec)
-    value = inner_exp + va_mass + outer
-    return value, _radius_star(value, beta, b)
+    value = bound_pieces(potential, a, beta, 0.0, spec).c_tilde
+    return value, _radius(_star_terms(value, beta, b))
 
 
 def basuev_c_star(
@@ -258,14 +284,8 @@ def basuev_c_star(
     spec: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
     """(C*(beta), radius): the first tree-graph bound at cut a."""
-    spec = spec or DEFAULT_SPEC
-    if _is_zero_potential(potential, spec):
-        return 0.0, math.inf
-    split(potential, a)
-    inner, _ = _c_star_inner(potential, a, beta, spec)
-    outer, _ = _outer_abs(potential, a, beta, spec)
-    value = inner + outer
-    return value, _radius_star(value, beta, b)
+    value = bound_pieces(potential, a, beta, 0.0, spec).c_star
+    return value, _radius(_star_terms(value, beta, b))
 
 
 def basuev_c_hat(
@@ -280,16 +300,8 @@ def basuev_c_hat(
     At bbar = 0 the integrand and the radius reduce continuously to the
     basuev_c_star forms.
     """
-    spec = spec or DEFAULT_SPEC
-    if bbar < 0:
-        raise ValueError("bbar must be non-negative")
-    if _is_zero_potential(potential, spec):
-        return 0.0, math.inf
-    split(potential, a)
-    inner, _ = _c_hat_inner(potential, a, beta, bbar, spec)
-    outer, _ = _outer_abs(potential, a, beta, spec)
-    value = inner + outer
-    return value, _radius_hat(value, beta, bbar)
+    value = bound_pieces(potential, a, beta, bbar, spec).c_hat
+    return value, _radius(_hat_terms(value, beta, bbar))
 
 
 def basuev_radius(
@@ -301,9 +313,11 @@ def basuev_radius(
     spec: QuadratureSpec | None = None,
 ) -> float:
     """max of the two Basuev radius pieces (the certified disk radius)."""
-    _, r_star = basuev_c_star(potential, a, beta, b, spec)
-    _, r_hat = basuev_c_hat(potential, a, beta, bbar, spec)
-    return max(r_star, r_hat)
+    pieces = bound_pieces(potential, a, beta, bbar, spec)
+    return max(
+        _radius(_star_terms(pieces.c_star, beta, b)),
+        _radius(_hat_terms(pieces.c_hat, beta, bbar)),
+    )
 
 
 def hard_core_bounds(
@@ -326,7 +340,7 @@ def hard_core_bounds(
     if not math.isclose(core_radius, a, rel_tol=1e-12):
         raise ValueError(f"potential core radius {core_radius} does not match a = {a}")
     core = sphere_volume(a, potential.d)
-    tail_int, _ = _outer_abs(potential, a, beta, spec)
+    tail_int, _ = _outer_integral(potential, a, beta, spec, lambda v: beta * np.abs(v))
     c_star_hc = core + tail_int
     c_hat_hc = core / expm1_over_x(beta * bbar) + tail_int
     return c_star_hc, c_hat_hc
@@ -451,13 +465,15 @@ def compare_report(
     """Assemble all four bounds with per-piece breakdown and radius ratios.
 
     Radii are certified with the upper stability bound (they shrink as B
-    grows); B-bar enters as bbar_factor * b_upper.
+    grows); B-bar enters as bbar_factor * b_upper.  Raises ArithmeticError
+    when the Penrose-Ruelle integral overflows (beta past ~709 for LJ).
     """
     spec = spec or DEFAULT_SPEC
     b = stability.b_upper
     bbar = stability.bbar_upper
 
-    if _is_zero_potential(potential, spec):
+    pieces = bound_pieces(potential, a, beta, bbar, spec)
+    if pieces.is_zero:
         return BoundReport(
             beta=beta, a=a, b_used=b, bbar_used=bbar,
             c_pr=0.0, c_tilde=0.0, c_star=0.0, c_hat=0.0,
@@ -465,33 +481,28 @@ def compare_report(
             potential=potential.config(),
             notes=("potential is identically zero; all radii are infinite",),
         )
-
-    parts = split(potential, a)
-    outer, outer_err = _outer_abs(potential, a, beta, spec)
-    star_inner, star_err = _c_star_inner(potential, a, beta, spec)
-    hat_inner, hat_err = _c_hat_inner(potential, a, beta, bbar, spec)
-    mps_exp, mps_err = _mps_inner_exp(potential, a, beta, spec)
-    va_mass = beta * parts.value_at_cut * sphere_volume(a, potential.d)
-    c_pr, pr_err = _pr_integral(potential, beta, spec)
-
-    c_tilde = mps_exp + va_mass + outer
-    c_star = star_inner + outer
-    c_hat = hat_inner + outer
-
-    r_pr = _radius_pr(c_pr, beta, b)
-    r_mps = _radius_star(c_tilde, beta, b)
-    r_star = _radius_star(c_star, beta, b)
-    r_hat = _radius_hat(c_hat, beta, bbar)
-
+    with np.errstate(over="ignore"):
+        c_pr, pr_err = _outer_integral(
+            potential, 0.0, beta, spec, lambda v: np.abs(np.expm1(-beta * v))
+        )
+    if not math.isfinite(c_pr + pr_err):
+        raise ArithmeticError(f"the Penrose-Ruelle integral overflows at beta = {beta:g}")
+    terms = {
+        "pr": _star_terms(c_pr, beta, 2.0 * b),
+        "mps": _star_terms(pieces.c_tilde, beta, b),
+        "star": _star_terms(pieces.c_star, beta, b),
+        "hat": _hat_terms(pieces.c_hat, beta, bbar),
+    }
+    best = max(terms["star"], terms["hat"], key=lambda t: t[0] - math.log(t[1]))
     ratios = {
-        "star_over_mps": r_star / r_mps,
-        "hat_over_mps": r_hat / r_mps,
-        "hat_over_pr": r_hat / r_pr,
-        "best_over_pr": max(r_star, r_hat) / r_pr,
+        "star_over_mps": _ratio(terms["star"], terms["mps"]),
+        "hat_over_mps": _ratio(terms["hat"], terms["mps"]),
+        "hat_over_pr": _ratio(terms["hat"], terms["pr"]),
+        "best_over_pr": _ratio(best, terms["pr"]),
     }
     if reference_radii:
         for name, radius in reference_radii.items():
-            ratios[f"hat_over_{name}"] = r_hat / radius
+            ratios[f"hat_over_{name}"] = _ratio(terms["hat"], (math.log(radius), 1.0))
 
     return BoundReport(
         beta=beta,
@@ -499,27 +510,15 @@ def compare_report(
         b_used=b,
         bbar_used=bbar,
         c_pr=c_pr,
-        c_tilde=c_tilde,
-        c_star=c_star,
-        c_hat=c_hat,
-        r_pr=r_pr,
-        r_mps=r_mps,
-        r_star=r_star,
-        r_hat=r_hat,
-        pieces={
-            "outer_abs": outer,
-            "c_star_inner": star_inner,
-            "c_hat_inner": hat_inner,
-            "mps_inner_exp": mps_exp,
-            "mps_va_mass": va_mass,
-        },
-        error_estimates={
-            "outer_abs": outer_err,
-            "c_star_inner": star_err,
-            "c_hat_inner": hat_err,
-            "mps_inner_exp": mps_err,
-            "c_pr": pr_err,
-        },
+        c_tilde=pieces.c_tilde,
+        c_star=pieces.c_star,
+        c_hat=pieces.c_hat,
+        r_pr=_radius(terms["pr"]),
+        r_mps=_radius(terms["mps"]),
+        r_star=_radius(terms["star"]),
+        r_hat=_radius(terms["hat"]),
+        pieces=pieces.pieces,
+        error_estimates=dict(pieces.error_estimates, c_pr=pr_err),
         ratios=ratios,
         potential=potential.config(),
     )

@@ -187,7 +187,8 @@ def integrate_adaptive(
     """Integrate f on [lo, hi]; return (value, error estimate).
 
     Raises QuadratureConvergenceError when the estimate cannot be pushed
-    below max(abs_tol, rel_tol * |value|) within max_panels panels.
+    below max(abs_tol, rel_tol * |value|) within max_panels panels, or when
+    every panel left is narrower than floating-point resolution.
     """
     if hi < lo:
         raise ValueError(f"inverted integration range [{lo}, {hi}]")
@@ -211,9 +212,10 @@ def integrate_adaptive(
     n_panels = len(spans)
 
     while total_err > max(abs_tol, rel_tol * abs(total)):
-        if n_panels >= max_panels:
+        if n_panels >= max_panels or not heap:
+            where = f"after {n_panels} panels" if heap else "with no panel left to split"
             raise QuadratureConvergenceError(
-                f"quadrature did not reach tolerance after {n_panels} panels "
+                f"quadrature did not reach tolerance {where} "
                 f"(achieved {total_err:.3e}, value {total:.6e})",
                 value=total,
                 achieved_error=total_err,
@@ -223,10 +225,10 @@ def integrate_adaptive(
         total_err -= err
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
-            # panel narrower than floating-point resolution: keep as is
+            # panel narrower than floating-point resolution: it leaves the
+            # heap, and its value and error stay in the totals
             total += value
             total_err += err
-            heapq.heappush(heap, (0.0, a, b, value, 0.0))
             continue
         children = ((a, mid), (mid, b))
         for (aa, bb), (v, e) in zip(children, _panels(f, children)):

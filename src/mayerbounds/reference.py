@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import _c_star_inner, _outer_abs, h_factor
+from .bounds import bound_pieces, h_factor
 from .potentials import LennardJones
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, sphere_volume
+from .quadrature import QuadratureSpec
 from .stability import PREVIOUS_LJ_B_UPPER, find_max_a, lj_stability_registry
 
 __all__ = ["ReferenceRow", "REFERENCE_ROWS", "reproduction_rows", "SECTIONS"]
@@ -137,38 +137,34 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
 
 def reproduction_values(spec: QuadratureSpec | None = None) -> dict[tuple[str, str], float]:
     """Recompute every reference constant from the package's own machinery."""
-    spec = spec or DEFAULT_SPEC
     lj = LennardJones()
     beta = 1.0
     registry = lj_stability_registry()
     h_low = h_factor(registry.b_lower)
+    # C^(1, 0) is C*(1): at B-bar = 0 the damped inner piece is the plain one
+    cut_52 = bound_pieces(lj, PUBLISHED_CUT_52, beta, 0.0, spec)
+    cut_53 = bound_pieces(lj, PUBLISHED_CUT_53, beta, 0.0, spec)
+    outer_52 = cut_52.pieces["outer_abs"]
+    va_mass_52 = cut_52.pieces["mps_va_mass"]
 
     values: dict[tuple[str, str], float] = {}
-
-    inner_52, _ = _c_star_inner(lj, PUBLISHED_CUT_52, beta, spec)
-    outer_52, _ = _outer_abs(lj, PUBLISHED_CUT_52, beta, spec)
-    va_mass_52 = beta * lj(PUBLISHED_CUT_52) * sphere_volume(PUBLISHED_CUT_52, lj.d)
-    chat_52 = inner_52 + outer_52
     values["5.2", "va_inner_mass"] = va_mass_52
     values["5.2", "outer_abs_integral"] = outer_52
     values["5.2", "mps_lower_bound"] = va_mass_52 + outer_52
-    values["5.2", "chat_inner_piece"] = inner_52
+    values["5.2", "chat_inner_piece"] = cut_52.pieces["c_star_inner"]
     values["5.2", "chat_outer_piece"] = outer_52
-    values["5.2", "chat_total"] = chat_52
+    values["5.2", "chat_total"] = cut_52.c_star
     values["5.2", "h_at_8_61"] = h_low
-    values["5.2", "radius_denominator"] = chat_52 / h_low
+    values["5.2", "radius_denominator"] = cut_52.c_star / h_low
 
-    inner_53, _ = _c_star_inner(lj, PUBLISHED_CUT_53, beta, spec)
-    outer_53, _ = _outer_abs(lj, PUBLISHED_CUT_53, beta, spec)
-    chat_53 = inner_53 + outer_53
     values["5.3", "optimal_cut_radius"] = find_max_a(
         lj, "yuhjtman", (0.6, 0.7), tol=1e-6
     )
-    values["5.3", "chat_inner_piece"] = inner_53
-    values["5.3", "chat_outer_piece"] = outer_53
-    values["5.3", "chat_total"] = chat_53
-    values["5.3", "radius_denominator"] = chat_53 / h_low
-    improvement = (va_mass_52 + outer_52) * h_low / chat_53
+    values["5.3", "chat_inner_piece"] = cut_53.pieces["c_star_inner"]
+    values["5.3", "chat_outer_piece"] = cut_53.pieces["outer_abs"]
+    values["5.3", "chat_total"] = cut_53.c_star
+    values["5.3", "radius_denominator"] = cut_53.c_star / h_low
+    improvement = (va_mass_52 + outer_52) * h_low / cut_53.c_star
     values["5.3", "improvement_factor"] = improvement
     values["5.3", "absolute_improvement_factor"] = improvement * math.exp(
         PREVIOUS_LJ_B_UPPER - registry.b_upper

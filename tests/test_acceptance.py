@@ -12,10 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from mayerbounds.bounds import (
-    _c_hat_inner,
-    _c_star_inner,
-    _mps_inner_exp,
-    _outer_abs,
+    bound_pieces,
     compare_report,
     h_factor,
     offset_stable_ratio,
@@ -112,11 +109,13 @@ def test_criterion_3_section_5_2_reproduction():
         beta, a = 1.0, 0.3637
         va_mass = beta * lennard_jones(a) * sphere_volume(a, 3)
         assert rel_diff(va_mass, 37444.0) < 5e-3
-        outer, _ = _outer_abs(LJ, a, beta, DEFAULT_SPEC)
+        pieces = bound_pieces(LJ, a, beta, 0.0)
+        assert pieces.pieces["mps_va_mass"] == va_mass
+        outer = pieces.pieces["outer_abs"]
         assert rel_diff(outer, 12381.0) < 5e-3
-        inner, _ = _c_star_inner(LJ, a, beta, DEFAULT_SPEC)
+        inner = pieces.pieces["c_hat_inner"]
         assert rel_diff(inner, 0.823) < 5e-2
-        assert rel_diff(inner + outer, 12382.0) < 5e-3
+        assert rel_diff(pieces.c_hat, 12382.0) < 5e-3
 
 
 def test_criterion_4_section_5_3_reproduction():
@@ -124,9 +123,10 @@ def test_criterion_4_section_5_3_reproduction():
         best = find_max_a(LJ, "yuhjtman", (0.6, 0.7), tol=1e-6)
         assert abs(best - 0.6397) <= 2e-4
         beta, a = 1.0, 0.6397
-        inner, _ = _c_star_inner(LJ, a, beta, DEFAULT_SPEC)
-        outer, _ = _outer_abs(LJ, a, beta, DEFAULT_SPEC)
-        total = inner + outer
+        pieces = bound_pieces(LJ, a, beta, 0.0)
+        inner = pieces.pieces["c_hat_inner"]
+        outer = pieces.pieces["outer_abs"]
+        total = pieces.c_hat
         assert rel_diff(inner, 2.5) < 5e-2
         assert rel_diff(outer, 61.63) < 5e-3
         assert rel_diff(total, 64.13) < 5e-3
@@ -148,16 +148,10 @@ def test_criterion_5_inequality_suite():
         a_grid = (0.36, 0.5, 0.64)
         bbar_grid = (0.0, 1.0, 8.61, 20.0)
         for a, beta in itertools.product(a_grid, beta_grid):
-            outer, _ = _outer_abs(LJ, a, beta, DEFAULT_SPEC)
-            star_inner, _ = _c_star_inner(LJ, a, beta, DEFAULT_SPEC)
-            mps_exp, _ = _mps_inner_exp(LJ, a, beta, DEFAULT_SPEC)
-            va_mass = beta * lennard_jones(a) * sphere_volume(a, 3)
-            c_star = star_inner + outer
-            c_tilde = mps_exp + va_mass + outer
-            assert c_star <= c_tilde * (1 + 1e-12)
             for bbar in bbar_grid:
-                hat_inner, _ = _c_hat_inner(LJ, a, beta, bbar, DEFAULT_SPEC)
-                assert hat_inner + outer <= c_star * (1 + 1e-9)
+                pieces = bound_pieces(LJ, a, beta, bbar)
+                assert pieces.c_star <= pieces.c_tilde * (1 + 1e-12)
+                assert pieces.c_hat <= pieces.c_star * (1 + 1e-9)
         # pointwise damping-factor monotonicity at 1e4 sampled points
         rng = np.random.default_rng(12345)
         a_args = rng.uniform(0.0, 50.0, 10_000)

@@ -7,8 +7,10 @@ Frozen reference values (scipy.integrate.quad oracles, rel err < 1e-9):
   outer piece at a = 0.6397                           = 61.6299
 """
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -17,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from mayerbounds import bounds
 from mayerbounds.bounds import (
     BoundReport,
     basuev_c_hat,
     basuev_c_star,
     basuev_radius,
+    bound_pieces,
     compare_report,
     h_factor,
     hard_core_bounds,
@@ -77,7 +81,11 @@ class TestOffsetStableRatio:
 
     def test_matches_high_precision(self):
         with mpmath.workdps(40):
-            for a_arg, y in [(3.0, 2.0), (1e-3, 5.0), (50.0, 0.1), (2.0, 2.0)]:
+            for a_arg, y in [
+                (3.0, 2.0), (1e-3, 5.0), (50.0, 0.1), (2.0, 2.0),
+                # y >= 709, where e^y overflows a double
+                (0.5, 709.0), (0.5, 1000.0), (10.0, 750.0), (700.0, 720.0), (710.0, 709.5),
+            ]:
                 expected = float(
                     (mpmath.expm1(y - a_arg) / (y - a_arg) if y != a_arg else 1)
                     / (mpmath.expm1(y) / y)
@@ -273,6 +281,72 @@ class TestCompareReport:
             LJ, 1.0, 0.6397, REGISTRY, reference_radii={"lp": 1e-12}
         )
         assert "hat_over_lp" in report.ratios
+
+
+class TestBoundPieces:
+    """One pipeline computes the pieces that every bound and report reads."""
+
+    def test_bounds_read_the_report_pieces(self):
+        report = compare_report(LJ, 1.0, 0.6397, REGISTRY)
+        pieces = bound_pieces(LJ, 0.6397, 1.0, REGISTRY.bbar_upper)
+        assert pieces.pieces == report.pieces
+        assert dict(pieces.error_estimates, c_pr=report.error_estimates["c_pr"]) == (
+            report.error_estimates
+        )
+        b, bbar = REGISTRY.b_upper, REGISTRY.bbar_upper
+        assert mps_bound(LJ, 0.6397, 1.0, b) == (report.c_tilde, report.r_mps)
+        assert basuev_c_star(LJ, 0.6397, 1.0, b) == (report.c_star, report.r_star)
+        assert basuev_c_hat(LJ, 0.6397, 1.0, bbar) == (report.c_hat, report.r_hat)
+        assert basuev_radius(LJ, 0.6397, 1.0, b, bbar) == max(report.r_star, report.r_hat)
+        assert penrose_ruelle(LJ, 1.0, b) == (report.c_pr, report.r_pr)
+
+    def test_zero_potential_pieces(self):
+        pieces = bound_pieces(ZERO_POTENTIAL, 0.5, 1.0, 1.0)
+        assert pieces.is_zero
+        assert set(pieces.pieces.values()) == {0.0}
+        assert pieces.c_tilde == pieces.c_star == pieces.c_hat == 0.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: compare_report(LJ, 1.0, 0.6397, REGISTRY),
+        lambda: basuev_radius(LJ, 0.6397, 1.0, REGISTRY.b_upper, REGISTRY.bbar_upper),
+    ])
+    def test_one_split_and_one_zero_probe(self, call, monkeypatch):
+        calls = {"split": 0, "_is_zero_potential": 0}
+
+        def counted(name):
+            original = getattr(bounds, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bounds, name, counted(name))
+        call()
+        assert calls == {"split": 1, "_is_zero_potential": 1}
+
+    def test_no_private_bounds_imports_outside_bounds(self):
+        root = Path(__file__).resolve().parents[1]
+        offenders = []
+        for path in sorted(root.glob("src/**/*.py")) + sorted(root.glob("scripts/*.py")) + sorted(
+            root.glob("tests/*.py")
+        ):
+            if path.name == "bounds.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                module = "." * node.level + (node.module or "")
+                if module not in ("mayerbounds.bounds", ".bounds"):
+                    continue
+                offenders += [
+                    f"{path.relative_to(root)}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+        assert not offenders
 
 
 class TestKnotsBeyondTailCut:

@@ -1,11 +1,18 @@
 """CLI subcommands: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from mayerbounds.cli import main
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -184,6 +191,43 @@ class TestBounds:
         assert code == 0
         payload = json.loads(out)
         assert payload["b_used"] == 8.61
+
+
+    @pytest.mark.parametrize("beta", ["30", "60", "300"])
+    def test_large_beta_is_valid_json(self, beta):
+        # past beta ~ 26 r_pr underflows to 0, and past beta B-bar ~ 709
+        # e^{beta B-bar} overflows: the report must still be finite JSON
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mayerbounds", "bounds", "--a", "0.6397", "--beta", beta,
+             "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        payload = json.loads(proc.stdout, parse_constant=reject)
+        assert payload["radii"]["penrose_ruelle"] == 0.0
+        ratio = payload["ratios"]["hat_over_pr"]
+        assert ratio > 1e150 if beta == "30" else ratio == "inf"
+
+    def test_beta_past_double_range_is_numeric_failure(self, capsys):
+        # e^{beta} overflows in the well of V: the Penrose-Ruelle integral
+        # is not finite, so the report must not print NaN
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["bounds", "--a", "0.6397", "--beta", "1000", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric failure: the Penrose-Ruelle integral overflows at beta = 1000\n"
+        )
+        assert not caught
 
 
 class TestReproduce:

@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import signal
 
 import mpmath
 import numpy as np
@@ -98,6 +99,25 @@ class TestIntegrateAdaptive:
 
     def test_empty_range(self):
         assert integrate_adaptive(lambda x: x, 1.0, 1.0) == (0.0, 0.0)
+
+    def test_unmet_tolerance_at_float_resolution_raises(self):
+        # [1, 1 + 4 ulp] splits into 4 one-ulp panels and no further; the
+        # engine used to pop them forever, so a regression must time out
+        def timed_out(signum, frame):
+            raise TimeoutError("integrate_adaptive did not return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(10)
+        try:
+            with pytest.raises(QuadratureConvergenceError, match="no panel left") as info:
+                integrate_adaptive(
+                    lambda x: np.sin(1e20 * x), 1.0, 1.0 + 4 * np.spacing(1.0),
+                    rel_tol=1e-300, abs_tol=1e-300, max_panels=10,
+                )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert info.value.achieved_error > 0
 
     def test_matches_scipy_on_smooth_mixture(self):
         f = lambda x: np.exp(-x) * np.cos(3 * x) + x**2
