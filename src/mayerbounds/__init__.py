@@ -15,24 +15,11 @@ The package has two halves that meet in the CLI:
   numbers.
 """
 
-from .combinatorics import (
-    EdgeLabeledTree,
-    LabeledGraph,
-    SetPartition,
-    SizeLimitError,
-    enumerate_connected_graphs,
-    enumerate_labeled_trees,
-    enumerate_partitions,
-    graph_partition,
-    mobius_alternating_sum,
-)
+from .combinatorics import SizeLimitError, enumerate_labeled_trees
 from .ursell import (
     InteractionMatrix,
-    MergeState,
-    block_pair_energy,
     merge_sequence_expansion,
-    subset_energy,
-    tree_exponent_coefficients,
+    subset_energies,
     ursell_graph_sum,
     ursell_partition_sum,
     ursell_tree_integral,
@@ -43,7 +30,6 @@ from .potentials import (
     LennardJones,
     LJTypeEnvelope,
     PairPotential,
-    PotentialSplit,
     TabulatedPotential,
     hard_core_wrap,
     lennard_jones,

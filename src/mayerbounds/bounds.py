@@ -133,6 +133,18 @@ def _outer_integral(potential, lo, beta, spec, g) -> tuple[float, float]:
     )
 
 
+def _penrose_ruelle_integral(potential, beta, spec) -> tuple[float, float]:
+    """(value, err) of C(beta) = int |e^{-beta V} - 1| over R^d.  Raises
+    ArithmeticError when it overflows (beta past ~709 for LJ)."""
+    with np.errstate(over="ignore"):
+        value, err = _outer_integral(
+            potential, 0.0, beta, spec, lambda v: np.abs(np.expm1(-beta * v))
+        )
+    if not math.isfinite(value + err):
+        raise ArithmeticError(f"the Penrose-Ruelle integral overflows at beta = {beta:g}")
+    return value, err
+
+
 def _inner_integral(potential, a, spec, g) -> tuple[float, float]:
     """(value, err) of int_{|x|<=a} g(V(|x|)), with the edge ladder at a."""
     return radial_integral_err(
@@ -224,7 +236,7 @@ def bound_pieces(
     if _is_zero_potential(potential, spec):
         zeros = dict.fromkeys(("outer_abs", "c_star_inner", "c_hat_inner", "mps_inner_exp"), 0.0)
         return BoundPieces(dict(zeros, mps_va_mass=0.0), zeros, is_zero=True)
-    value_at_cut = split(potential, a).value_at_cut
+    value_at_cut = split(potential, a)
     y = beta * bbar
 
     def excess(v):
@@ -256,11 +268,10 @@ def penrose_ruelle(
 
     The tail of |e^{-beta V} - 1| is integrated as beta |V| in closed form;
     the neglected higher orders are below (beta |V(cut)|)^2/2, which the
-    default cut keeps far under the quadrature tolerance.
+    default cut keeps far under the quadrature tolerance.  Raises
+    ArithmeticError when C overflows.
     """
-    value, _ = _outer_integral(
-        potential, 0.0, beta, spec or DEFAULT_SPEC, lambda v: np.abs(np.expm1(-beta * v))
-    )
+    value, _ = _penrose_ruelle_integral(potential, beta, spec or DEFAULT_SPEC)
     return value, _radius(_star_terms(value, beta, 2.0 * b))
 
 
@@ -481,12 +492,7 @@ def compare_report(
             potential=potential.config(),
             notes=("potential is identically zero; all radii are infinite",),
         )
-    with np.errstate(over="ignore"):
-        c_pr, pr_err = _outer_integral(
-            potential, 0.0, beta, spec, lambda v: np.abs(np.expm1(-beta * v))
-        )
-    if not math.isfinite(c_pr + pr_err):
-        raise ArithmeticError(f"the Penrose-Ruelle integral overflows at beta = {beta:g}")
+    c_pr, pr_err = _penrose_ruelle_integral(potential, beta, spec)
     terms = {
         "pr": _star_terms(c_pr, beta, 2.0 * b),
         "mps": _star_terms(pieces.c_tilde, beta, b),

@@ -1,13 +1,11 @@
-"""Exact enumeration of set partitions, connected graphs, and labeled trees.
+"""Exact enumeration of connected graphs and labeled trees on [n].
 
 Vertex labels are 1-based: [n] = {1, ..., n}.  Enumeration orders are
 canonical so golden tests stay stable:
 
-* partitions: restricted-growth strings, lexicographic;
 * graphs: edge-subset bitmasks in ascending order, edge bits assigned to the
   unordered pairs (1,2) < (1,3) < ... < (n-1,n) lexicographically;
-* trees: Prufer sequences in lexicographic order; edge labelings, when
-  requested, in lexicographic permutation order of the sorted edge list.
+* trees: sorted edge tuples, Prufer sequences in lexicographic order.
 
 Size guards fail fast instead of attempting enumerations beyond desk scale.
 """
@@ -16,8 +14,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -25,22 +21,13 @@ import numpy as np
 
 __all__ = [
     "SizeLimitError",
-    "SetPartition",
-    "LabeledGraph",
-    "EdgeLabeledTree",
-    "enumerate_partitions",
-    "enumerate_connected_graphs",
-    "enumerate_trees",
+    "connected_edge_masks",
     "enumerate_labeled_trees",
-    "mobius_alternating_sum",
-    "graph_partition",
-    "stirling2_row",
+    "pair_order",
 ]
 
-MAX_PARTITION_N = 13
 MAX_GRAPH_N = 7
 MAX_TREE_N = 8
-MAX_MOBIUS_N = 12
 
 
 class SizeLimitError(ValueError):
@@ -52,98 +39,9 @@ def _check_range(n: int, lo: int, hi: int, what: str) -> None:
         raise SizeLimitError(f"{what} supports {lo} <= n <= {hi}, got n={n!r}")
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """A partition of [n] into disjoint non-empty blocks covering [n]."""
-
-    n: int
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block in partition")
-            if seen & block:
-                raise ValueError("overlapping blocks in partition")
-            seen |= block
-        if seen != set(range(1, self.n + 1)):
-            raise ValueError(f"blocks do not cover [{self.n}]")
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-@dataclass(frozen=True)
-class LabeledGraph:
-    """A simple graph on vertex set [n]; edges are unordered pairs (i, j), i < j."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"edge ({i},{j}) outside the pairs of [{self.n}]")
-
-
-@dataclass(frozen=True)
-class EdgeLabeledTree:
-    """A tree on [n] whose n-1 edges carry labels 1..n-1 (position = label)."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.edges) != self.n - 1:
-            raise ValueError("a tree on [n] has exactly n-1 edges")
-        g = LabeledGraph(self.n, frozenset(self.edges))
-        if len(g.edges) != self.n - 1 or len(graph_partition(g)) != 1:
-            raise ValueError("edge sequence is not a tree")
-
-    def prefix_partition(self, k: int) -> SetPartition:
-        """Components after keeping only the edges with labels <= k."""
-        g = LabeledGraph(self.n, frozenset(self.edges[:k]))
-        return graph_partition(g)
-
-
 def pair_order(n: int) -> list[tuple[int, int]]:
     """The unordered pairs of [n] in lexicographic order (the edge-bit order)."""
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
-def enumerate_partitions(n: int) -> Iterator[SetPartition]:
-    """All partitions of [n] in restricted-growth-string order."""
-    _check_range(n, 1, MAX_PARTITION_N, "enumerate_partitions")
-    for rgs in _restricted_growth_strings(n):
-        k = max(rgs) + 1
-        blocks: list[set[int]] = [set() for _ in range(k)]
-        for idx, b in enumerate(rgs):
-            blocks[b].add(idx + 1)
-        yield SetPartition(n, tuple(frozenset(b) for b in blocks))
-
-
-def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    rgs = [0] * n
-
-    def rec(i: int, top: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(rgs)
-            return
-        for v in range(top + 2):
-            rgs[i] = v
-            yield from rec(i + 1, max(top, v))
-
-    yield from rec(1, 0)
-
-
-def enumerate_connected_graphs(n: int) -> Iterator[LabeledGraph]:
-    """All connected graphs on [n], in edge-subset bitmask order."""
-    _check_range(n, 1, MAX_GRAPH_N, "enumerate_connected_graphs")
-    pairs = pair_order(n)
-    for mask in connected_edge_masks(n):
-        edges = frozenset(p for e, p in enumerate(pairs) if mask >> e & 1)
-        yield LabeledGraph(n, edges)
 
 
 @lru_cache(maxsize=None)
@@ -153,6 +51,7 @@ def connected_edge_masks(n: int) -> np.ndarray:
     Connectivity for all 2^(n(n-1)/2) candidates at once: per-graph adjacency
     bitmasks, then n-1 parallel reachability sweeps from vertex 1.
     """
+    _check_range(n, 1, MAX_GRAPH_N, "connected_edge_masks")
     if n == 1:
         return np.array([0], dtype=np.int64)
     pairs = pair_order(n)
@@ -171,9 +70,9 @@ def connected_edge_masks(n: int) -> np.ndarray:
     return masks[reach == full]
 
 
-def enumerate_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All trees on [n] as sorted edge tuples, in Prufer-sequence order."""
-    _check_range(n, 2, MAX_TREE_N, "enumerate_trees")
+def enumerate_labeled_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All n^(n-2) trees on [n] as sorted edge tuples, in Prufer-sequence order."""
+    _check_range(n, 2, MAX_TREE_N, "enumerate_labeled_trees")
     if n == 2:
         yield ((1, 2),)
         return
@@ -197,60 +96,3 @@ def _prufer_decode(n: int, seq: Sequence[int]) -> tuple[tuple[int, int], ...]:
     u, w = sorted(leaves)
     edges.append((u, w))
     return tuple(sorted(edges))
-
-
-def enumerate_labeled_trees(n: int, with_labelings: bool = False) -> Iterator[EdgeLabeledTree]:
-    """Trees on [n] as EdgeLabeledTree.
-
-    Default: one canonical labeling per tree (sorted edge order), so the count
-    is exactly n^(n-2).  With `with_labelings`, every tree is paired with all
-    (n-1)! orderings of its edges.
-    """
-    for edges in enumerate_trees(n):
-        if with_labelings:
-            for perm in itertools.permutations(edges):
-                yield EdgeLabeledTree(n, perm)
-        else:
-            yield EdgeLabeledTree(n, edges)
-
-
-def stirling2_row(n: int) -> list[int]:
-    """[K^n_1, ..., K^n_n]: partition counts of [n] by number of blocks."""
-    table = [0] * (n + 1)
-    table[0] = 1
-    for m in range(1, n + 1):
-        new = [0] * (n + 1)
-        for k in range(1, m + 1):
-            new[k] = k * table[k] + table[k - 1]
-        table = new
-    return table[1:]
-
-
-def mobius_alternating_sum(n: int) -> int:
-    """sum_{k=1}^{n} (-1)^(k-1) (k-1)! K^n_k, exactly (must vanish for n >= 2)."""
-    _check_range(n, 2, MAX_MOBIUS_N, "mobius_alternating_sum")
-    counts = stirling2_row(n)
-    return sum(
-        (-1) ** (k - 1) * math.factorial(k - 1) * counts[k - 1] for k in range(1, n + 1)
-    )
-
-
-def graph_partition(g: LabeledGraph) -> SetPartition:
-    """The partition of [n] into the connected components of g."""
-    parent = list(range(g.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in g.edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    comps: dict[int, set[int]] = {}
-    for v in range(1, g.n + 1):
-        comps.setdefault(find(v), set()).add(v)
-    blocks = tuple(frozenset(comps[r]) for r in sorted(comps))
-    return SetPartition(g.n, blocks)

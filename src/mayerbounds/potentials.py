@@ -1,15 +1,14 @@
-"""Radially symmetric pair potentials and the capped/short-range split.
+"""Radially symmetric pair potentials and the cut-radius check.
 
 Supported kinds: the classical (rescaled) Lennard-Jones potential
 V(r) = 1/r^12 - 2/r^6, pure inverse powers C/r^p, hard-core wrappers, and
 tabulated potentials (piecewise linear between knots, constant inside the
 first knot, zero beyond the last).
 
-`split(V, a)` produces the decomposition V = V_a + K_a where V_a caps V at
-V(a) inside radius a and K_a = V - V_a is the non-negative short-range
-excess supported in (0, a].  The precondition V(r) >= V(a) > 0 on (0, a] is
-verified on a geometric grid of 1e4 points plus the endpoint; it is a
-numerical check, not a proof.
+`split(V, a)` checks that a is a valid cut radius, V(r) >= V(a) > 0 on
+(0, a], and returns V(a), the level at which the bounds cap V inside a.  The
+precondition is verified on a geometric grid of 1e4 points plus the
+endpoint; it is a numerical check, not a proof.
 
 All evaluators accept numpy arrays and are safe to share across threads
 (immutable after construction).
@@ -30,9 +29,6 @@ __all__ = [
     "InversePower",
     "HardCoreWrap",
     "TabulatedPotential",
-    "CappedPotential",
-    "ShortRangeExcess",
-    "PotentialSplit",
     "LJTypeEnvelope",
     "LJTypeCheckReport",
     "lennard_jones",
@@ -226,66 +222,6 @@ class TabulatedPotential(PairPotential):
         return {"kind": "tabulated", "knots": [list(k) for k in self.knots], "d": self.d}
 
 
-@dataclass(frozen=True)
-class CappedPotential(PairPotential):
-    """The absolutely integrable part V_a: V(a) inside the cut, V beyond."""
-
-    base: PairPotential
-    cut_radius: float
-    kind: str = field(default="capped", init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", self.base.d)
-
-    def _evaluate(self, r):
-        return np.where(r <= self.cut_radius, self.base(self.cut_radius), self.base._evaluate(r))
-
-    def tail_terms(self):
-        return self.base.tail_terms()
-
-    def feature_radii(self):
-        return (self.cut_radius,) + self.base.feature_radii()
-
-    def config(self):
-        return {"kind": "capped", "a": self.cut_radius, "base": self.base.config()}
-
-
-@dataclass(frozen=True)
-class ShortRangeExcess(PairPotential):
-    """The non-negative short-range part K_a = V - V(a) inside the cut, 0 beyond."""
-
-    base: PairPotential
-    cut_radius: float
-    kind: str = field(default="short-range-excess", init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", self.base.d)
-
-    def _evaluate(self, r):
-        return np.where(
-            r <= self.cut_radius, self.base._evaluate(r) - self.base(self.cut_radius), 0.0
-        )
-
-    def tail_terms(self):
-        return ()
-
-    def feature_radii(self):
-        return (self.cut_radius,) + self.base.feature_radii()
-
-    def config(self):
-        return {"kind": "short-range-excess", "a": self.cut_radius, "base": self.base.config()}
-
-
-@dataclass(frozen=True)
-class PotentialSplit:
-    """The decomposition V = V_a + K_a at cut radius a."""
-
-    a: float
-    value_at_cut: float
-    tail_part: CappedPotential
-    short_part: ShortRangeExcess
-
-
 def negative_part(potential: PairPotential, r):
     """V^-(r) = max(0, -V(r)) = (|V| - V)/2, the attractive magnitude."""
     value = potential(r)
@@ -296,8 +232,8 @@ def split_grid(a: float) -> np.ndarray:
     return np.geomspace(a * SPLIT_GRID_INNER_FACTOR, a, SPLIT_GRID_POINTS)
 
 
-def split(potential: PairPotential, a: float) -> PotentialSplit:
-    """Cut the potential at radius a, checking V(r) >= V(a) > 0 on (0, a]."""
+def split(potential: PairPotential, a: float) -> float:
+    """V(a), after checking that V(r) >= V(a) > 0 on (0, a]."""
     if a <= 0:
         raise PotentialDomainError("cut radius must be positive")
     value_at_cut = potential(a)
@@ -312,12 +248,7 @@ def split(potential: PairPotential, a: float) -> PotentialSplit:
             f"V({r_bad:.6g}) = {float(potential(r_bad)):.6g} < V(a) = {value_at_cut:.6g}; "
             f"the cut precondition fails at a = {a}"
         )
-    return PotentialSplit(
-        a=a,
-        value_at_cut=value_at_cut,
-        tail_part=CappedPotential(potential, a),
-        short_part=ShortRangeExcess(potential, a),
-    )
+    return value_at_cut
 
 
 def hard_core_wrap(potential: PairPotential, a: float, height: float) -> HardCoreWrap:

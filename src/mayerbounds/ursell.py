@@ -32,13 +32,12 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .combinatorics import (
     MAX_GRAPH_N,
-    SetPartition,
     SizeLimitError,
     connected_edge_masks,
     enumerate_labeled_trees,
@@ -49,18 +48,13 @@ from .simplex import MAX_LEVELS, simplex_integral_from_diffs
 __all__ = [
     "DEFAULT_HARD_CORE_CUTOFF",
     "HardCoreCutoffError",
-    "InvalidBlockPairError",
     "InteractionMatrix",
     "MAX_INTEGRAL_ROUTE_N",
-    "MergeState",
-    "block_pair_energy",
-    "merge_histories",
     "merge_sequence_expansion",
     "merge_step_energies",
     "random_interaction_matrix",
     "rel_diff",
-    "subset_energy",
-    "tree_exponent_coefficients",
+    "subset_energies",
     "tree_level_coefficients",
     "ursell_graph_sum",
     "ursell_partition_sum",
@@ -75,10 +69,6 @@ MAX_INTEGRAL_ROUTE_N = MAX_LEVELS + 1
 
 class HardCoreCutoffError(ValueError):
     """A hard-core entry was used numerically without a configured cutoff."""
-
-
-class InvalidBlockPairError(ValueError):
-    """The two blocks of a merge pair are not disjoint non-empty subsets."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,26 +131,10 @@ class InteractionMatrix:
                 entries.append([i, j, float(val)])
         return {"n": self.n, "entries": entries, "hard_core_pairs": hard}
 
-    @property
-    def hard_core_pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, j in pair_order(self.n) if np.isinf(self.values[i - 1, j - 1])]
-
     def with_cutoff(self, height: float = DEFAULT_HARD_CORE_CUTOFF) -> "InteractionMatrix":
         if not height > 0:
             raise ValueError("cutoff height must be positive")
         return replace(self, cutoff=float(height))
-
-    def effective(self, i: int, j: int) -> float:
-        """Entry with the hard-core cutoff applied."""
-        val = self.values[i - 1, j - 1]
-        if np.isinf(val):
-            if self.cutoff is None:
-                raise HardCoreCutoffError(
-                    f"pair ({i},{j}) is hard-core and no cutoff is configured; "
-                    "call with_cutoff() first"
-                )
-            return self.cutoff
-        return float(val)
 
     def effective_values(self) -> np.ndarray:
         v = self.values
@@ -196,31 +170,21 @@ def rel_diff(x: float, y: float) -> float:
     return abs(x - y) / scale
 
 
-def subset_energy(m: InteractionMatrix, subset: Iterable[int]) -> float:
-    """U(X) = sum of V_ij over unordered pairs inside X (0 for |X| <= 1)."""
-    members = sorted(set(subset))
-    if members and not (1 <= members[0] and members[-1] <= m.n):
-        raise ValueError(f"subset {members} not contained in [{m.n}]")
-    total = 0.0
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            total += m.effective(members[a], members[b])
-    return total
+def subset_energies(m: InteractionMatrix) -> np.ndarray:
+    """U(X) = sum of V_ij over the pairs inside X, for all 2^n subsets X of [n]
+    at once, indexed by bitmask (bit v-1 = vertex v), in extended precision.
 
-
-def block_pair_energy(
-    m: InteractionMatrix, pair: tuple[Iterable[int], Iterable[int]]
-) -> float:
-    """W_sigma: total interaction between two disjoint blocks.
-
-    Satisfies U(A) + U(B) + W = U(A union B).
+    Bit doubling: the subsets holding bit b as their top bit are those below
+    it plus bit b, and adding b adds its cross energy with the rest.
     """
-    block_a, block_b = (frozenset(side) for side in pair)
-    if not block_a or not block_b:
-        raise InvalidBlockPairError("merge pair blocks must be non-empty")
-    if block_a & block_b:
-        raise InvalidBlockPairError(f"blocks {sorted(block_a)} and {sorted(block_b)} overlap")
-    return sum(m.effective(i, j) for i in block_a for j in block_b)
+    vals = m.effective_values().astype(np.longdouble)
+    u = np.zeros(1 << m.n, dtype=np.longdouble)
+    for b in range(1, m.n):
+        cross = np.zeros(1 << b, dtype=np.longdouble)
+        for v in range(b):
+            cross[1 << v : 2 << v] = cross[: 1 << v] + vals[b, v]
+        u[1 << b : 2 << b] = u[: 1 << b] + cross
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -276,28 +240,12 @@ def ursell_partition_sum(m: InteractionMatrix, beta: float) -> float:
         raise SizeLimitError(f"partition sum supports n <= {MAX_PARTITION_SUM_N}, got {n}")
     if n == 1:
         return 1.0
-    z = np.exp(-np.longdouble(beta) * _subset_energies(m))
+    z = np.exp(-np.longdouble(beta) * subset_energies(m))
     phi = np.zeros_like(z)
     phi[1] = 1.0
     for s, t, rest in _lattice_levels(n):
         phi[s] = z[s] - (phi[t] * z[rest]).sum(axis=1)
     return float(phi[-1])
-
-
-def _subset_energies(m: InteractionMatrix) -> np.ndarray:
-    """U over all vertex subsets, indexed by bitmask (bit v-1 = vertex v).
-
-    Bit doubling: the subsets holding bit b as their top bit are those below
-    it plus bit b, and adding b adds its cross energy with the rest.
-    """
-    vals = m.effective_values().astype(np.longdouble)
-    u = np.zeros(1 << m.n, dtype=np.longdouble)
-    for b in range(1, m.n):
-        cross = np.zeros(1 << b, dtype=np.longdouble)
-        for v in range(b):
-            cross[1 << v : 2 << v] = cross[: 1 << v] + vals[b, v]
-        u[1 << b : 2 << b] = u[: 1 << b] + cross
-    return u
 
 
 @lru_cache(maxsize=None)
@@ -357,7 +305,7 @@ def _tree_path_masks(n: int, edges) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _tree_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Route-3 tables for the trees on [n], in enumerate_labeled_trees order.
+    """Route-3 tables for the trees on [n], in Prufer order.
 
     edges[t]       pair indices of tree t's edges (sorted edge order);
     inside[t, S]   0/1 over pairs: both ends in one component of the forest
@@ -372,8 +320,8 @@ def _tree_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     index = {pair: e for e, pair in enumerate(pair_order(n))}
     edges, paths = [], []
     for tree in enumerate_labeled_trees(n):
-        edges.append([index[pair] for pair in tree.edges])
-        paths.append(_tree_path_masks(n, tree.edges))
+        edges.append([index[pair] for pair in tree])
+        paths.append(_tree_path_masks(n, tree))
     subsets = np.arange(1 << (n - 1))
     inside = (np.array(paths)[:, None, :] & ~subsets[None, :, None]) == 0
     prefixes = [
@@ -386,20 +334,13 @@ def _tree_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def tree_level_coefficients(m: InteractionMatrix) -> np.ndarray:
     """Level coefficients c_1..c_{n-1} of every edge-labeled tree on [n].
 
-    Shape (trees, labelings, n-1), rows in the order of
-    enumerate_labeled_trees(n, with_labelings=True); c_k is the total energy
-    of the components of the forest of the edges labeled <= k.
+    Shape (trees, labelings, n-1): trees in Prufer order (that of
+    enumerate_labeled_trees), and labelings in itertools.permutations order of
+    the sorted edge tuple, edge k of a permutation carrying label k.  c_k is
+    the total energy of the components of the forest of the edges labeled <= k.
     """
     _, inside, prefixes = _tree_tables(m.n)
     return (inside @ _pair_values(m))[:, prefixes]
-
-
-def tree_exponent_coefficients(tree, m: InteractionMatrix) -> tuple[float, ...]:
-    """c_k = sum over components of the label-<=k prefix forest of U(component)."""
-    return tuple(
-        sum(subset_energy(m, block) for block in tree.prefix_partition(k).blocks)
-        for k in range(1, tree.n)
-    )
 
 
 def ursell_tree_integral(m: InteractionMatrix, beta: float) -> float:
@@ -422,79 +363,15 @@ def ursell_tree_integral(m: InteractionMatrix, beta: float) -> float:
 # route 4: block-merge expansion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MergeState:
-    """A partition of [n] together with the merge history that produced it.
-
-    history[i] is the unordered pair of blocks merged at step i+1; each pair
-    must consist of two blocks of the partition existing at that step, so a
-    state with k merges has n - k blocks.
-    """
-
-    partition: SetPartition
-    history: tuple[tuple[frozenset[int], frozenset[int]], ...]
-
-    def __post_init__(self):
-        state = _singletons(self.partition.n)
-        for pair in self.history:
-            a, b = pair
-            if a not in state or b not in state or a == b:
-                raise InvalidBlockPairError(
-                    f"history step merges {sorted(map(sorted, pair))}, "
-                    "which are not two distinct current blocks"
-                )
-            state = _merge_blocks(state, a, b)
-        if state != frozenset(self.partition.blocks):
-            raise ValueError("history does not reproduce the stored partition")
-
-    @classmethod
-    def initial(cls, n: int) -> "MergeState":
-        return cls(SetPartition(n, tuple(sorted(_singletons(n), key=min))), ())
-
-    def available_merges(self) -> list[tuple[frozenset[int], frozenset[int]]]:
-        """q(partition): unordered pairs of distinct blocks, canonical order."""
-        blocks = sorted(self.partition.blocks, key=min)
-        return [
-            (blocks[a], blocks[b])
-            for a in range(len(blocks))
-            for b in range(a + 1, len(blocks))
-        ]
-
-    def merge(self, pair: tuple[frozenset[int], frozenset[int]]) -> "MergeState":
-        a, b = pair
-        blocks = _merge_blocks(frozenset(self.partition.blocks), a, b)
-        new_partition = SetPartition(self.partition.n, tuple(sorted(blocks, key=min)))
-        return MergeState(new_partition, self.history + ((a, b),))
-
-
-def _singletons(n: int) -> frozenset[frozenset[int]]:
-    return frozenset(frozenset({v}) for v in range(1, n + 1))
-
-
-def _merge_blocks(blocks, a, b):
-    return (blocks - {a, b}) | {a | b}
-
-
-def merge_histories(n: int) -> Iterator[MergeState]:
-    """All complete merge histories of [n] (down to the one-block partition)."""
-
-    def rec(state: MergeState) -> Iterator[MergeState]:
-        if len(state.partition) == 1:
-            yield state
-            return
-        for pair in state.available_merges():
-            yield from rec(state.merge(pair))
-
-    yield from rec(MergeState.initial(n))
-
-
 @lru_cache(maxsize=None)
 def _merge_table(n: int) -> np.ndarray:
     """0/1 array (histories, n-1, pairs): the pairs joining the two blocks
-    merged at each step, histories in merge_histories(n) order.
+    merged at each step, histories in merge-history order.
 
-    Histories are built as tuples of block bitmasks, blocks kept sorted by
-    their smallest vertex (lowest bit), as MergeState.available_merges does.
+    Merge-history order: depth first from the n singletons; at each step the
+    current blocks are sorted by their lowest vertex, and the merged pair of
+    block positions (a, b), a < b, runs in lexicographic order.  Blocks are
+    kept as vertex bitmasks.
     """
     _check_integral_n(n, "merge expansion")
     pair_bits = [(1 << (i - 1), 1 << (j - 1)) for i, j in pair_order(n)]
@@ -521,7 +398,7 @@ def _merge_table(n: int) -> np.ndarray:
 
 def merge_step_energies(m: InteractionMatrix) -> np.ndarray:
     """W_1..W_{n-1} of every complete merge history of [n], shape
-    (histories, n-1), rows in merge_histories(n) order."""
+    (histories, n-1), rows in the merge-history order of _merge_table."""
     return _merge_table(m.n) @ _pair_values(m)
 
 

@@ -10,6 +10,7 @@ Frozen reference values (scipy.integrate.quad oracles, rel err < 1e-9):
 import ast
 import json
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -300,6 +301,13 @@ class TestBoundPieces:
         assert basuev_radius(LJ, 0.6397, 1.0, b, bbar) == max(report.r_star, report.r_hat)
         assert penrose_ruelle(LJ, 1.0, b) == (report.c_pr, report.r_pr)
 
+    def test_penrose_ruelle_overflow_raises(self):
+        # e^{720} overflows in the well of V; compare_report raises the same way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="Penrose-Ruelle integral overflows"):
+                penrose_ruelle(LJ, 720.0, 14.316)
+
     def test_zero_potential_pieces(self):
         pieces = bound_pieces(ZERO_POTENTIAL, 0.5, 1.0, 1.0)
         assert pieces.is_zero
@@ -327,19 +335,19 @@ class TestBoundPieces:
         call()
         assert calls == {"split": 1, "_is_zero_potential": 1}
 
-    def test_no_private_bounds_imports_outside_bounds(self):
+    def test_no_private_imports_across_modules(self):
         root = Path(__file__).resolve().parents[1]
         offenders = []
         for path in sorted(root.glob("src/**/*.py")) + sorted(root.glob("scripts/*.py")) + sorted(
             root.glob("tests/*.py")
         ):
-            if path.name == "bounds.py":
-                continue
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if not isinstance(node, ast.ImportFrom):
                     continue
-                module = "." * node.level + (node.module or "")
-                if module not in ("mayerbounds.bounds", ".bounds"):
+                module = node.module or ""
+                if node.level:  # relative imports occur only inside the package
+                    module = f"mayerbounds.{module}".rstrip(".")
+                if module.split(".")[0] != "mayerbounds" or module == f"mayerbounds.{path.stem}":
                     continue
                 offenders += [
                     f"{path.relative_to(root)}: {alias.name}"

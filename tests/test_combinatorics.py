@@ -9,20 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mayerbounds.combinatorics import (
-    EdgeLabeledTree,
-    LabeledGraph,
-    SetPartition,
     SizeLimitError,
     connected_edge_masks,
-    enumerate_connected_graphs,
     enumerate_labeled_trees,
-    enumerate_partitions,
-    enumerate_trees,
-    graph_partition,
-    mobius_alternating_sum,
     pair_order,
-    stirling2_row,
 )
+from oracles import set_partitions, stirling2_row
 
 
 def bell_numbers(limit):
@@ -50,55 +42,46 @@ def is_connected_bfs(n, edges):
     return len(seen) == n
 
 
-class TestPartitions:
+class TestSetPartitionOracle:
+    """The explicit enumeration behind the 40-digit Mobius sum and the
+    Stirling row behind criterion 2."""
+
     def test_counts_match_bell_oracle(self):
         oracle = bell_numbers(7)
-        counts = [sum(1 for _ in enumerate_partitions(n)) for n in range(1, 8)]
+        counts = [sum(1 for _ in set_partitions(n)) for n in range(1, 8)]
         assert counts == oracle
-
-    def test_n1_single_partition(self):
-        assert list(enumerate_partitions(1)) == [SetPartition(1, (frozenset({1}),))]
-
-    def test_restricted_growth_order_snapshot(self):
-        got = [tuple(sorted(sorted(b) for b in p.blocks)) for p in enumerate_partitions(3)]
-        assert got == [
-            ([1, 2, 3],),
-            ([1, 2], [3]),
-            ([1, 3], [2]),
-            ([1], [2, 3]),
-            ([1], [2], [3]),
-        ]
 
     @given(st.integers(min_value=1, max_value=7))
     @settings(max_examples=7, deadline=None)
     def test_blocks_disjoint_and_cover(self, n):
-        for p in enumerate_partitions(n):
+        seen = set()
+        for p in set_partitions(n):
             union = set()
-            for block in p.blocks:
+            for block in p:
                 assert block
                 assert not (union & block)
                 union |= block
             assert union == set(range(1, n + 1))
-            assert 1 <= len(p) <= n
+            seen.add(frozenset(p))
+        assert len(seen) == bell_numbers(n)[-1]
 
-    def test_size_guard(self):
-        with pytest.raises(SizeLimitError):
-            list(enumerate_partitions(14))
-        with pytest.raises(SizeLimitError):
-            list(enumerate_partitions(0))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_stirling_row_matches_enumeration(self, n):
+        by_blocks = [0] * n
+        for p in set_partitions(n):
+            by_blocks[len(p) - 1] += 1
+        assert stirling2_row(n) == by_blocks
 
-    def test_invalid_partition_rejected(self):
-        with pytest.raises(ValueError):
-            SetPartition(3, (frozenset({1, 2}), frozenset({2, 3})))
-        with pytest.raises(ValueError):
-            SetPartition(3, (frozenset({1, 2}),))
+
+def mask_edges(n, mask):
+    return [p for e, p in enumerate(pair_order(n)) if mask >> e & 1]
 
 
 class TestConnectedGraphs:
     def test_small_counts(self):
-        assert sum(1 for _ in enumerate_connected_graphs(2)) == 1
-        assert sum(1 for _ in enumerate_connected_graphs(3)) == 4
-        assert sum(1 for _ in enumerate_connected_graphs(4)) == 38
+        assert len(connected_edge_masks(2)) == 1
+        assert len(connected_edge_masks(3)) == 4
+        assert len(connected_edge_masks(4)) == 38
 
     def test_n4_against_brute_force_filter(self):
         pairs = pair_order(4)
@@ -107,27 +90,22 @@ class TestConnectedGraphs:
             for subset in itertools.combinations(pairs, k):
                 if is_connected_bfs(4, subset):
                     oracle.add(frozenset(subset))
-        got = {g.edges for g in enumerate_connected_graphs(4)}
+        got = {frozenset(mask_edges(4, int(mask))) for mask in connected_edge_masks(4)}
         assert got == oracle
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_all_yielded_graphs_connected(self, n):
-        count = 0
-        for g in enumerate_connected_graphs(n):
-            count += 1
-            assert is_connected_bfs(n, g.edges)
-        assert count == len(connected_edge_masks(n))
+    def test_every_mask_connected(self, n):
+        for mask in connected_edge_masks(n):
+            assert is_connected_bfs(n, mask_edges(n, int(mask)))
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_masks_unique_sorted_and_sampled_connectivity(self, n):
         masks = connected_edge_masks(n)
         assert np.all(np.diff(masks) > 0)  # strictly increasing: no duplicates
-        pairs = pair_order(n)
         rng = np.random.default_rng(0)
         sample = rng.choice(masks, size=2000, replace=False)
         for mask in sample:
-            edges = [p for e, p in enumerate(pairs) if mask >> e & 1]
-            assert is_connected_bfs(n, edges)
+            assert is_connected_bfs(n, mask_edges(n, int(mask)))
         # disconnected spot checks: empty graph and a single edge
         assert 0 not in masks
         assert 1 not in masks
@@ -137,110 +115,30 @@ class TestConnectedGraphs:
         assert len(connected_edge_masks(7)) == 1_866_256
 
     def test_size_guard(self):
-        with pytest.raises(SizeLimitError):
-            list(enumerate_connected_graphs(8))
+        # n = 8 would allocate 2^28 masks and an (8, 2^28) adjacency table
+        for n in (0, 8):
+            with pytest.raises(SizeLimitError):
+                connected_edge_masks(n)
 
 
 class TestTrees:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_cayley_count(self, n):
-        assert sum(1 for _ in enumerate_trees(n)) == n ** (n - 2)
+        assert sum(1 for _ in enumerate_labeled_trees(n)) == n ** (n - 2)
 
     def test_n2_single_tree(self):
-        assert list(enumerate_trees(2)) == [((1, 2),)]
+        assert list(enumerate_labeled_trees(2)) == [((1, 2),)]
 
     def test_all_distinct_and_are_trees(self):
         seen = set()
-        for edges in enumerate_trees(5):
+        for edges in enumerate_labeled_trees(5):
             assert len(edges) == 4
+            assert list(edges) == sorted(edges)
             assert is_connected_bfs(5, edges)
             seen.add(frozenset(edges))
         assert len(seen) == 125
 
-    def test_labelings_count(self):
-        assert sum(1 for _ in enumerate_labeled_trees(3, with_labelings=True)) == 3 * 2
-        assert sum(1 for _ in enumerate_labeled_trees(4, with_labelings=True)) == 16 * 6
-
-    def test_prefix_is_forest_with_n_minus_k_components(self):
-        for tree in enumerate_labeled_trees(5, with_labelings=True):
-            for k in range(1, 5):
-                assert len(tree.prefix_partition(k)) == 5 - k
-
-    def test_non_tree_rejected(self):
-        with pytest.raises(ValueError):
-            EdgeLabeledTree(3, ((1, 2), (1, 2)))
-        with pytest.raises(ValueError):
-            EdgeLabeledTree(4, ((1, 2), (3, 4)))
-
     def test_size_guard(self):
-        with pytest.raises(SizeLimitError):
-            list(enumerate_trees(9))
-
-
-class TestMobius:
-    def test_zero_for_all_supported_n(self):
-        for n in range(2, 13):
-            value = mobius_alternating_sum(n)
-            assert isinstance(value, int)
-            assert value == 0
-
-    def test_n3_decomposition(self):
-        counts = [0] * 4
-        for p in enumerate_partitions(3):
-            counts[len(p)] += 1
-        assert counts[1:] == [1, 3, 1]
-        assert 1 * 1 - 1 * 3 + 2 * 1 == 0  # (k-1)! weights: 1, 1, 2
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_stirling_row_matches_enumeration(self, n):
-        by_blocks = [0] * n
-        for p in enumerate_partitions(n):
-            by_blocks[len(p) - 1] += 1
-        assert stirling2_row(n) == by_blocks
-
-    def test_size_guard(self):
-        with pytest.raises(SizeLimitError):
-            mobius_alternating_sum(13)
-        with pytest.raises(SizeLimitError):
-            mobius_alternating_sum(1)
-
-
-class TestGraphPartition:
-    def test_examples(self):
-        empty = LabeledGraph(3, frozenset())
-        assert {tuple(sorted(b)) for b in graph_partition(empty).blocks} == {(1,), (2,), (3,)}
-        path = LabeledGraph(3, frozenset({(1, 2), (2, 3)}))
-        assert {tuple(sorted(b)) for b in graph_partition(path).blocks} == {(1, 2, 3)}
-        single = LabeledGraph(4, frozenset({(1, 2)}))
-        assert {tuple(sorted(b)) for b in graph_partition(single).blocks} == {
-            (1, 2), (3,), (4,),
-        }
-
-    def test_block_count_equals_n_minus_spanning_forest_edges(self):
-        rng = np.random.default_rng(3)
-        for n in range(2, 8):
-            pairs = pair_order(n)
-            for _ in range(30):
-                mask = int(rng.integers(0, 1 << len(pairs)))
-                edges = frozenset(p for e, p in enumerate(pairs) if mask >> e & 1)
-                g = LabeledGraph(n, edges)
-                parts = graph_partition(g)
-                # spanning forest of a graph with c components has n - c edges
-                forest_edges = sum(len(b) - 1 for b in parts.blocks)
-                assert len(parts) == n - forest_edges
-                # independent component count
-                comp = 0
-                left = set(range(1, n + 1))
-                while left:
-                    start = min(left)
-                    stack, seen = [start], {start}
-                    while stack:
-                        v = stack.pop()
-                        for i, j in edges:
-                            w = j if i == v else (i if j == v else None)
-                            if w is not None and w not in seen:
-                                seen.add(w)
-                                stack.append(w)
-                    left -= seen
-                    comp += 1
-                assert comp == len(parts)
+        for n in (1, 9):
+            with pytest.raises(SizeLimitError):
+                list(enumerate_labeled_trees(n))

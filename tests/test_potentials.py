@@ -81,41 +81,13 @@ class TestNegativePart:
 
 
 class TestSplit:
-    def test_capped_value_inside(self):
-        parts = split(LennardJones(), 0.3637)
-        assert parts.tail_part(0.1) == lennard_jones(0.3637)
-        assert parts.tail_part(0.3637) == lennard_jones(0.3637)
-        assert parts.tail_part(1.0) == -1.0
-
-    def test_short_part_zero_beyond_cut(self):
-        parts = split(LennardJones(), 0.6397)
-        for r in (0.63971, 0.7, 1.0, 5.0, 50.0):
-            assert parts.short_part(r) == 0.0
-
-    def test_short_part_positive_inside(self):
-        parts = split(LennardJones(), 0.6397)
-        assert math.isclose(
-            parts.short_part(0.3),
-            lennard_jones(0.3) - lennard_jones(0.6397),
-            rel_tol=1e-12,
-        )
-        assert parts.short_part(0.3) > 0.0
-
-    @pytest.mark.parametrize("a", [0.3637, 0.5, 0.6397])
-    def test_reconstruction_exact_to_roundoff(self, a):
+    @pytest.mark.parametrize("a", [0.3, 0.3637, 0.5, 0.6397, 0.7, 0.88])
+    def test_returns_value_at_cut(self, a):
+        # every cut below the LJ zero crossing is valid: V(r) >= V(a) > 0 on (0, a]
         lj = LennardJones()
-        parts = split(lj, a)
-        r = np.geomspace(a * 1e-3, 30.0, 10_000)
-        v = lj(r)
-        diff = np.abs(parts.tail_part(r) + parts.short_part(r) - v)
-        # one ulp of V(r): the cap-then-add rounds once when |V| >> V(a)
-        assert np.all(diff <= 4e-16 * np.maximum(np.abs(v), 1.0))
-
-    @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 0.88])
-    def test_short_part_sign_below_lj_zero(self, a):
-        parts = split(LennardJones(), a)
-        r = np.geomspace(a * 1e-6, a, 2000)
-        assert np.all(parts.short_part(r) >= 0.0)
+        value = split(lj, a)
+        assert value == lennard_jones(a) > 0.0
+        assert np.all(lj(np.geomspace(a * 1e-6, a, 2000)) >= value)
 
     def test_rejects_cut_beyond_positivity(self):
         with pytest.raises(NotBasuevAtCutError):

@@ -7,6 +7,7 @@ quadrature, and the divided-difference form against mpmath's matrix
 exponential at 50 digits.
 """
 
+import itertools
 import json
 import math
 
@@ -17,32 +18,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from mayerbounds.combinatorics import (
-    SizeLimitError,
-    enumerate_labeled_trees,
-    enumerate_partitions,
-)
+from mayerbounds.combinatorics import SizeLimitError, enumerate_labeled_trees
 from mayerbounds.quadrature import stable_ratio
 from mayerbounds.simplex import MAX_LEVELS, simplex_integral_from_diffs
 from mayerbounds.ursell import (
     HardCoreCutoffError,
     InteractionMatrix,
-    InvalidBlockPairError,
     MAX_INTEGRAL_ROUTE_N,
-    MergeState,
-    block_pair_energy,
-    merge_histories,
     merge_sequence_expansion,
     merge_step_energies,
     random_interaction_matrix,
-    subset_energy,
-    tree_exponent_coefficients,
+    subset_energies,
     tree_level_coefficients,
     ursell_graph_sum,
     ursell_partition_sum,
     ursell_tree_integral,
-    _subset_energies,
 )
+from oracles import block_energy, cross_energy, merge_histories, replay, set_partitions
 
 
 def rel_diff(x, y):
@@ -69,8 +61,8 @@ class TestInteractionMatrix:
 
     def test_missing_pairs_default_zero(self):
         m = InteractionMatrix.from_json({"n": 3, "entries": [[1, 2, 1.0]]})
-        assert m.effective(1, 3) == 0.0
-        assert m.effective(2, 3) == 0.0
+        assert m.effective_values()[0, 2] == 0.0
+        assert m.effective_values()[1, 2] == 0.0
 
     def test_asymmetric_rejected(self):
         v = np.zeros((2, 2))
@@ -81,10 +73,10 @@ class TestInteractionMatrix:
     def test_hard_core_requires_cutoff(self):
         m = InteractionMatrix.from_entries(2, {}, hard_core_pairs=[(1, 2)])
         with pytest.raises(HardCoreCutoffError):
-            m.effective(1, 2)
+            m.effective_values()
         with pytest.raises(HardCoreCutoffError):
             ursell_graph_sum(m, 1.0)
-        assert m.with_cutoff(30.0).effective(1, 2) == 30.0
+        assert m.with_cutoff(30.0).effective_values()[0, 1] == 30.0
         assert m.with_cutoff().cutoff == 30.0
 
     def test_seeded_matrix_reproducible_and_in_range(self):
@@ -96,47 +88,35 @@ class TestInteractionMatrix:
 
 
 class TestEnergies:
-    def test_subset_energy_examples(self):
+    def test_subset_energies_examples(self):
         m = random_interaction_matrix(4, 0)
-        assert subset_energy(m, []) == 0.0
-        assert subset_energy(m, [3]) == 0.0
-        assert subset_energy(m, [1, 2]) == m.effective(1, 2)
-        direct = sum(
-            m.effective(i, j) for i in range(1, 5) for j in range(i + 1, 5)
-        )
-        assert math.isclose(subset_energy(m, [1, 2, 3, 4]), direct, rel_tol=1e-15)
-
-    def test_block_pair_energy_examples(self):
-        m = random_interaction_matrix(3, 1)
-        assert block_pair_energy(m, ({1}, {2})) == m.effective(1, 2)
-        assert math.isclose(
-            block_pair_energy(m, ({1}, {2, 3})),
-            m.effective(1, 2) + m.effective(1, 3),
-            rel_tol=1e-15,
-        )
+        u = subset_energies(m)
+        assert u[0] == 0.0
+        assert u[0b0100] == 0.0
+        assert u[0b0011] == m.values[0, 1]
+        direct = sum(m.values[i, j] for i in range(4) for j in range(i + 1, 4))
+        assert math.isclose(u[0b1111], direct, rel_tol=1e-15)
 
     @given(st.integers(0, 50))
     @settings(max_examples=30, deadline=None)
     def test_block_pair_merge_identity(self, seed):
+        # U(A) + U(B) + W(A, B) = U(A union B), W summed pair by pair
         rng = np.random.default_rng(seed + 1000)
         m = random_interaction_matrix(6, seed)
+        u = subset_energies(m)
         members = list(rng.permutation(range(1, 7)))
         cut = int(rng.integers(1, 5))
         a, b = set(members[:cut]), set(members[cut : cut + int(rng.integers(1, 2))])
-        w = block_pair_energy(m, (a, b))
+
+        def mask(block):
+            return sum(1 << (v - 1) for v in block)
+
         assert math.isclose(
-            subset_energy(m, a) + subset_energy(m, b) + w,
-            subset_energy(m, a | b),
+            u[mask(a)] + u[mask(b)] + cross_energy(m, a, b),
+            u[mask(a | b)],
             rel_tol=1e-12,
             abs_tol=1e-12,
         )
-
-    def test_overlapping_blocks_rejected(self):
-        m = random_interaction_matrix(3, 0)
-        with pytest.raises(InvalidBlockPairError):
-            block_pair_energy(m, ({1, 2}, {2, 3}))
-        with pytest.raises(InvalidBlockPairError):
-            block_pair_energy(m, (set(), {1}))
 
 
 class TestGraphAndPartitionSums:
@@ -187,9 +167,9 @@ def partition_mobius_mp(m, beta):
     """Explicit Mobius sum over every set partition of [n], at 40 digits."""
     with mpmath.workdps(40):
         total = mpmath.mpf(0)
-        for partition in enumerate_partitions(m.n):
-            k = len(partition.blocks)
-            energy = mpmath.fsum(mpmath.mpf(subset_energy(m, b)) for b in partition.blocks)
+        for partition in set_partitions(m.n):
+            k = len(partition)
+            energy = mpmath.fsum(mpmath.mpf(block_energy(m, b)) for b in partition)
             total += (-1) ** (k - 1) * math.factorial(k - 1) * mpmath.exp(-beta * energy)
         return total
 
@@ -260,17 +240,17 @@ class TestPartitionRoute:
             got = ursell_partition_sum(InteractionMatrix(n, v), beta)
             assert float(abs(got - expected) / abs(expected)) <= 1e-12
 
-    def test_subset_energies_match_subset_energy(self):
+    def test_subset_energies_match_block_energy(self):
         n = 6
         m = random_interaction_matrix(n, 6)
         # entries on a 2^-10 grid make every partial sum exact in both orders
         dyadic = InteractionMatrix(n, np.round(m.values * 1024) / 1024)
         for matrix, tol in ((m, 1e-14), (dyadic, 0.0)):
-            u = _subset_energies(matrix)
+            u = subset_energies(matrix)
             assert len(u) == 1 << n
             for mask in range(1 << n):
                 members = [v + 1 for v in range(n) if mask >> v & 1]
-                assert abs(float(u[mask]) - subset_energy(matrix, members)) <= tol
+                assert abs(float(u[mask]) - block_energy(matrix, members)) <= tol
 
     def test_hard_core_requires_cutoff(self):
         v = random_interaction_matrix(4, 3).values.copy()
@@ -399,55 +379,50 @@ class TestSimplexIntegral:
             simplex_integral_from_diffs((1.0,), math.nan)
 
 
+def forest_components(n, edges):
+    """Connected components of the forest on [n] with the given edges, by an
+    independent scan."""
+    comps = []
+    left = set(range(1, n + 1))
+    while left:
+        v = min(left)
+        stack, seen = [v], {v}
+        while stack:
+            u = stack.pop()
+            for i, j in edges:
+                w = j if i == u else (i if j == u else None)
+                if w is not None and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(seen)
+        left -= seen
+    return comps
+
+
 class TestTreeRoute:
-    def test_exponent_coefficients_two_and_three_points(self):
-        m = random_interaction_matrix(3, 8)
+    def test_level_coefficients_two_and_three_points(self):
         two = InteractionMatrix.from_entries(2, {(1, 2): 1.4})
-        tree2 = next(enumerate_labeled_trees(2))
-        assert tree_exponent_coefficients(tree2, two) == (1.4,)
-        from mayerbounds.combinatorics import EdgeLabeledTree
-
-        chain = EdgeLabeledTree(3, ((1, 2), (2, 3)))
-        c1, c2 = tree_exponent_coefficients(chain, m)
-        assert math.isclose(c1, m.effective(1, 2), rel_tol=1e-15)
-        assert math.isclose(c2, subset_energy(m, [1, 2, 3]), rel_tol=1e-15)
-
-    def test_exponent_coefficients_independent_component_scan(self):
-        m = random_interaction_matrix(4, 21)
-        for tree in enumerate_labeled_trees(4, with_labelings=True):
-            coeffs = tree_exponent_coefficients(tree, m)
-            for k in range(1, 4):
-                # recompute components from scratch
-                comps = []
-                left = set(range(1, 5))
-                kept = set()
-                for i, j in tree.edges[:k]:
-                    kept.add((i, j))
-                while left:
-                    v = min(left)
-                    stack, seen = [v], {v}
-                    while stack:
-                        u = stack.pop()
-                        for i, j in kept:
-                            w = j if i == u else (i if j == u else None)
-                            if w is not None and w not in seen:
-                                seen.add(w)
-                                stack.append(w)
-                    comps.append(seen)
-                    left -= seen
-                expected = sum(subset_energy(m, comp) for comp in comps)
-                assert math.isclose(coeffs[k - 1], expected, rel_tol=1e-12, abs_tol=1e-12)
+        assert tree_level_coefficients(two).tolist() == [[[1.4]]]
+        m = random_interaction_matrix(3, 8)
+        chain = list(enumerate_labeled_trees(3)).index(((1, 2), (2, 3)))
+        c1, c2 = tree_level_coefficients(m)[chain, 0]  # labels in sorted edge order
+        assert math.isclose(c1, m.values[0, 1], rel_tol=1e-15)
+        assert math.isclose(c2, block_energy(m, [1, 2, 3]), rel_tol=1e-15)
 
     def test_level_table_matches_prefix_partitions(self):
+        # rows: trees in Prufer order, labelings in permutations order
         m = random_interaction_matrix(4, 31)
         table = tree_level_coefficients(m)
         assert table.shape == (16, 6, 3)
-        rows = table.reshape(-1, 3)
-        trees = list(enumerate_labeled_trees(4, with_labelings=True))
-        assert len(trees) == len(rows)
-        for tree, row in zip(trees, rows):
-            expected = tree_exponent_coefficients(tree, m)
-            assert np.allclose(row, expected, rtol=1e-14, atol=1e-14), tree
+        trees = list(enumerate_labeled_trees(4))
+        assert len(trees) == len(table)
+        for tree, rows in zip(trees, table):
+            for labeling, row in zip(itertools.permutations(tree), rows):
+                expected = [
+                    sum(block_energy(m, comp) for comp in forest_components(4, labeling[:k]))
+                    for k in range(1, 4)
+                ]
+                assert np.allclose(row, expected, rtol=1e-14, atol=1e-14), labeling
 
     def test_two_point_closed_form(self):
         m = InteractionMatrix.from_entries(2, {(1, 2): 0.8})
@@ -478,28 +453,14 @@ class TestMergeRoute:
         assert sum(1 for _ in merge_histories(4)) == 6 * 3
         assert sum(1 for _ in merge_histories(5)) == 10 * 6 * 3
 
-    def test_state_invariants(self):
-        for state in merge_histories(4):
-            assert len(state.partition) == 1
-            replay = MergeState.initial(4)
-            for k, pair in enumerate(state.history, start=1):
-                replay = replay.merge(pair)
-                assert len(replay.partition) == 4 - k
-
-    def test_invalid_merge_rejected(self):
-        state = MergeState.initial(3)
-        merged = state.merge((frozenset({1}), frozenset({2})))
-        with pytest.raises(InvalidBlockPairError):
-            merged.merge((frozenset({1}), frozenset({2})))  # no longer blocks
-
     def test_bijection_with_labeled_trees(self):
         # each complete history sigma corresponds to prod_i #edges(sigma_i)
         # labeled trees; totals must match n^(n-2) (n-1)!
         for n in (3, 4):
             total = 0
-            for state in merge_histories(n):
+            for history in merge_histories(n):
                 count = 1
-                for a, b in state.history:
+                for a, b in history:
                     count *= len(a) * len(b)
                 total += count
             assert total == n ** (n - 2) * math.factorial(n - 1)
@@ -507,11 +468,11 @@ class TestMergeRoute:
     def test_step_energies_match_block_pair_energies(self):
         m = random_interaction_matrix(4, 32)
         table = merge_step_energies(m)
-        states = list(merge_histories(4))
-        assert table.shape == (len(states), 3)
-        for state, row in zip(states, table):
-            expected = [block_pair_energy(m, pair) for pair in state.history]
-            assert np.allclose(row, expected, rtol=1e-14, atol=1e-14), state.history
+        histories = list(merge_histories(4))
+        assert table.shape == (len(histories), 3)
+        for history, row in zip(histories, table):
+            expected = [cross_energy(m, a, b) for a, b in history]
+            assert np.allclose(row, expected, rtol=1e-14, atol=1e-14), history
 
     def test_two_point_value(self):
         m = InteractionMatrix.from_entries(2, {(1, 2): 0.8})
@@ -530,15 +491,12 @@ class TestMergeRoute:
         # sum of the first k merge energies equals the total energy of the
         # partition after k merges
         m = random_interaction_matrix(5, seed)
-        rng = np.random.default_rng(seed)
-        state = MergeState.initial(5)
+        histories = list(merge_histories(5))
+        history = histories[np.random.default_rng(seed).integers(len(histories))]
         running = 0.0
-        for _ in range(4):
-            options = state.available_merges()
-            pair = options[rng.integers(0, len(options))]
-            running += block_pair_energy(m, pair)
-            state = state.merge(pair)
-            total = sum(subset_energy(m, block) for block in state.partition.blocks)
+        for (a, b), blocks in zip(history, replay(5, history)):
+            running += cross_energy(m, a, b)
+            total = sum(block_energy(m, block) for block in blocks)
             assert math.isclose(running, total, rel_tol=1e-12, abs_tol=1e-12)
 
     @given(st.integers(0, 40))
@@ -547,17 +505,12 @@ class TestMergeRoute:
         # sum_i b_i W_i == sum_k (b_k - b_{k+1}) * total energy after k merges
         m = random_interaction_matrix(5, seed)
         rng = np.random.default_rng(seed + 7)
-        state = MergeState.initial(5)
-        energies = []
-        partials = []
-        for _ in range(4):
-            options = state.available_merges()
-            pair = options[rng.integers(0, len(options))]
-            energies.append(block_pair_energy(m, pair))
-            state = state.merge(pair)
-            partials.append(
-                sum(subset_energy(m, block) for block in state.partition.blocks)
-            )
+        histories = list(merge_histories(5))
+        history = histories[rng.integers(len(histories))]
+        energies = [cross_energy(m, a, b) for a, b in history]
+        partials = [
+            sum(block_energy(m, block) for block in blocks) for blocks in replay(5, history)
+        ]
         betas = np.sort(rng.uniform(0.0, 2.0, size=4))[::-1]
         lhs = float(np.dot(betas, energies))
         rhs = sum(
