@@ -308,6 +308,12 @@ class TestBoundPieces:
             with pytest.raises(ArithmeticError, match="Penrose-Ruelle integral overflows"):
                 penrose_ruelle(LJ, 720.0, 14.316)
 
+    def test_compare_report_overflow_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="Penrose-Ruelle integral overflows"):
+                compare_report(LJ, 720.0, 0.6397, REGISTRY)
+
     def test_zero_potential_pieces(self):
         pieces = bound_pieces(ZERO_POTENTIAL, 0.5, 1.0, 1.0)
         assert pieces.is_zero

@@ -14,7 +14,7 @@ from mayerbounds.combinatorics import (
     enumerate_labeled_trees,
     pair_order,
 )
-from oracles import set_partitions, stirling2_row
+from oracles import mobius_alternating_sum, set_partitions, stirling2_row
 
 
 def bell_numbers(limit):
@@ -51,6 +51,19 @@ class TestSetPartitionOracle:
         counts = [sum(1 for _ in set_partitions(n)) for n in range(1, 8)]
         assert counts == oracle
 
+    def test_n1_single_partition(self):
+        assert list(set_partitions(1)) == [(frozenset({1}),)]
+
+    def test_restricted_growth_order_snapshot(self):
+        got = [tuple(sorted(sorted(b) for b in p)) for p in set_partitions(3)]
+        assert got == [
+            ([1, 2, 3],),
+            ([1, 2], [3]),
+            ([1, 3], [2]),
+            ([1], [2, 3]),
+            ([1], [2], [3]),
+        ]
+
     @given(st.integers(min_value=1, max_value=7))
     @settings(max_examples=7, deadline=None)
     def test_blocks_disjoint_and_cover(self, n):
@@ -71,6 +84,22 @@ class TestSetPartitionOracle:
         for p in set_partitions(n):
             by_blocks[len(p) - 1] += 1
         assert stirling2_row(n) == by_blocks
+
+
+class TestMobius:
+    def test_zero_for_all_supported_n(self):
+        assert mobius_alternating_sum(1) == 1
+        for n in range(2, 13):
+            value = mobius_alternating_sum(n)
+            assert isinstance(value, int)
+            assert value == 0
+
+    def test_n3_decomposition(self):
+        counts = [0] * 4
+        for p in set_partitions(3):
+            counts[len(p)] += 1
+        assert counts[1:] == [1, 3, 1] == stirling2_row(3)
+        assert 1 * 1 - 1 * 3 + 2 * 1 == 0  # (k-1)! weights: 1, 1, 2
 
 
 def mask_edges(n, mask):
@@ -128,6 +157,32 @@ class TestTrees:
 
     def test_n2_single_tree(self):
         assert list(enumerate_labeled_trees(2)) == [((1, 2),)]
+
+    def test_prufer_order_snapshot(self):
+        # Prufer sequences (1), (2), (3): the leaf 2, 1, 1 joins the listed vertex
+        assert list(enumerate_labeled_trees(3)) == [
+            ((1, 2), (1, 3)),
+            ((1, 2), (2, 3)),
+            ((1, 3), (2, 3)),
+        ]
+
+    def test_prefix_is_forest_with_n_minus_k_components(self):
+        # every edge order of a tree, as the tree route labels it, adds one
+        # edge between two components per step
+        for tree in enumerate_labeled_trees(5):
+            for labeling in itertools.permutations(tree):
+                parent = list(range(6))
+
+                def root(v):
+                    while parent[v] != v:
+                        v = parent[v]
+                    return v
+
+                for k, (i, j) in enumerate(labeling, start=1):
+                    ri, rj = root(i), root(j)
+                    assert ri != rj, labeling
+                    parent[ri] = rj
+                    assert len({root(v) for v in range(1, 6)}) == 5 - k
 
     def test_all_distinct_and_are_trees(self):
         seen = set()

@@ -1,4 +1,4 @@
-"""Pair potentials, the capped/short-range split, and envelope checks."""
+"""Pair potentials, the checked cut value V(a), and envelope checks."""
 
 import math
 
@@ -88,6 +88,10 @@ class TestSplit:
         value = split(lj, a)
         assert value == lennard_jones(a) > 0.0
         assert np.all(lj(np.geomspace(a * 1e-6, a, 2000)) >= value)
+
+    def test_returns_plain_float(self):
+        assert type(split(LennardJones(), 0.6397)) is float
+        assert type(split(InversePower(1.0, 6.0), 0.5)) is float
 
     def test_rejects_cut_beyond_positivity(self):
         with pytest.raises(NotBasuevAtCutError):

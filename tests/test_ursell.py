@@ -25,6 +25,7 @@ from mayerbounds.ursell import (
     HardCoreCutoffError,
     InteractionMatrix,
     MAX_INTEGRAL_ROUTE_N,
+    MAX_PARTITION_SUM_N,
     merge_sequence_expansion,
     merge_step_energies,
     random_interaction_matrix,
@@ -96,6 +97,17 @@ class TestEnergies:
         assert u[0b0011] == m.values[0, 1]
         direct = sum(m.values[i, j] for i in range(4) for j in range(i + 1, 4))
         assert math.isclose(u[0b1111], direct, rel_tol=1e-15)
+
+    def test_subset_energies_single_point(self):
+        u = subset_energies(InteractionMatrix(1, np.zeros((1, 1))))
+        assert u.tolist() == [0.0, 0.0]
+
+    def test_subset_energies_hard_core_requires_cutoff(self):
+        m = InteractionMatrix.from_entries(3, {}, hard_core_pairs=[(1, 2)])
+        with pytest.raises(HardCoreCutoffError):
+            subset_energies(m)
+        # only the subsets holding both 1 and 2 see the cutoff
+        assert subset_energies(m.with_cutoff(30.0)).tolist() == [0, 0, 0, 30, 0, 0, 0, 30]
 
     @given(st.integers(0, 50))
     @settings(max_examples=30, deadline=None)
@@ -251,6 +263,13 @@ class TestPartitionRoute:
             for mask in range(1 << n):
                 members = [v + 1 for v in range(n) if mask >> v & 1]
                 assert abs(float(u[mask]) - block_energy(matrix, members)) <= tol
+
+    def test_zero_potential_vanishes_up_to_the_guard(self):
+        # Z = 1 on every subset leaves sum_k (-1)^(k-1) (k-1)! S(n, k), which
+        # is 0 for n >= 2; the recursion reaches it exactly
+        for n in range(1, MAX_PARTITION_SUM_N + 1):
+            got = ursell_partition_sum(InteractionMatrix(n, np.zeros((n, n))), 1.3)
+            assert got == (1.0 if n == 1 else 0.0)
 
     def test_hard_core_requires_cutoff(self):
         v = random_interaction_matrix(4, 3).values.copy()
@@ -424,6 +443,23 @@ class TestTreeRoute:
                 ]
                 assert np.allclose(row, expected, rtol=1e-14, atol=1e-14), labeling
 
+    def test_exponent_coefficients_independent_component_scan(self):
+        # as test_level_table_matches_prefix_partitions, at n = 5
+        m = random_interaction_matrix(5, 21)
+        table = tree_level_coefficients(m)
+        for tree, rows in zip(enumerate_labeled_trees(5), table):
+            for labeling, row in zip(itertools.permutations(tree), rows):
+                expected = [
+                    sum(block_energy(m, comp) for comp in forest_components(5, labeling[:k]))
+                    for k in range(1, 5)
+                ]
+                assert np.allclose(row, expected, rtol=1e-12, atol=1e-12), labeling
+
+    def test_labelings_count(self):
+        for n in range(2, MAX_INTEGRAL_ROUTE_N + 1):
+            table = tree_level_coefficients(random_interaction_matrix(n, n))
+            assert table.shape == (n ** (n - 2), math.factorial(n - 1), n - 1)
+
     def test_two_point_closed_form(self):
         m = InteractionMatrix.from_entries(2, {(1, 2): 0.8})
         expected = math.expm1(-1.3 * 0.8)
@@ -452,6 +488,20 @@ class TestMergeRoute:
         assert sum(1 for _ in merge_histories(3)) == 3
         assert sum(1 for _ in merge_histories(4)) == 6 * 3
         assert sum(1 for _ in merge_histories(5)) == 10 * 6 * 3
+
+    @pytest.mark.parametrize("n", range(2, MAX_INTEGRAL_ROUTE_N + 1))
+    def test_step_table_has_one_row_per_history(self, n):
+        # a history picks one of C(k, 2) block pairs at each of k = n..2 blocks
+        expected = math.prod(math.comb(k, 2) for k in range(2, n + 1))
+        assert merge_step_energies(random_interaction_matrix(n, n)).shape == (expected, n - 1)
+
+    def test_state_invariants(self):
+        for history in merge_histories(4):
+            partitions = replay(4, history)
+            for k, blocks in enumerate(partitions, start=1):
+                assert len(blocks) == 4 - k
+                assert set().union(*blocks) == {1, 2, 3, 4}
+            assert partitions[-1] == {frozenset({1, 2, 3, 4})}
 
     def test_bijection_with_labeled_trees(self):
         # each complete history sigma corresponds to prod_i #edges(sigma_i)
