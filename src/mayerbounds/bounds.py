@@ -47,7 +47,6 @@ from .quadrature import (
     QuadratureSpec,
     TemperednessError,
     edge_ladder,
-    expm1_over_x,
     radial_integral,
     radial_integral_err,
     sphere_volume,
@@ -152,9 +151,9 @@ def _inner_integral(potential, a, spec, g) -> tuple[float, float]:
     )
 
 
-def _is_zero_potential(potential: PairPotential, spec: QuadratureSpec) -> bool:
-    probe = np.concatenate([np.geomspace(1e-3, spec.tail_cut, 256), potential.feature_radii()])
-    if np.any(potential(probe) != 0.0):
+def _is_zero_potential(potential: PairPotential) -> bool:
+    """Exact: V is 0 at every feature radius and the tail terms past them are 0."""
+    if np.any(potential(potential.feature_radii()) != 0.0):
         return False
     terms = potential.tail_terms()
     return terms is not None and all(c == 0.0 for c, _ in terms)
@@ -233,7 +232,7 @@ def bound_pieces(
     spec = spec or DEFAULT_SPEC
     if bbar < 0:
         raise ValueError("bbar must be non-negative")
-    if _is_zero_potential(potential, spec):
+    if _is_zero_potential(potential):
         zeros = dict.fromkeys(("outer_abs", "c_star_inner", "c_hat_inner", "mps_inner_exp"), 0.0)
         return BoundPieces(dict(zeros, mps_va_mass=0.0), zeros, is_zero=True)
     value_at_cut = split(potential, a)
@@ -353,7 +352,7 @@ def hard_core_bounds(
     core = sphere_volume(a, potential.d)
     tail_int, _ = _outer_integral(potential, a, beta, spec, lambda v: beta * np.abs(v))
     c_star_hc = core + tail_int
-    c_hat_hc = core / expm1_over_x(beta * bbar) + tail_int
+    c_hat_hc = core / stable_ratio(-beta * bbar) + tail_int
     return c_star_hc, c_hat_hc
 
 

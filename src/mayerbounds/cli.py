@@ -25,7 +25,7 @@ import math
 import sys
 from pathlib import Path
 
-from .combinatorics import SizeLimitError
+from .combinatorics import MAX_GRAPH_N, SizeLimitError
 from .bounds import compare_report
 from .potentials import (
     LennardJones,
@@ -63,8 +63,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-MAX_IDENTITY_N = 7
-
 TABLE_FLOAT = "{:.6g}"
 
 
@@ -84,7 +82,10 @@ def _load_potential(name_or_path: str):
         return LennardJones()
     path = Path(name_or_path)
     if name_or_path.endswith(".json") or path.exists():
-        return potential_from_config(json.loads(path.read_text()))
+        try:
+            return potential_from_config(json.loads(path.read_text()))
+        except (KeyError, OSError, TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(f"cannot load potential {name_or_path!r}: {exc!r}")
     raise argparse.ArgumentTypeError(
         f"unknown potential {name_or_path!r}: use 'lennard-jones' or a config file path"
     )
@@ -300,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    def add_common(p, formats=("table", "json", "csv")):
+        p.add_argument("--format", choices=formats, default="table")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p_id = sub.add_parser("identity", help="multi-route Ursell coefficient check")
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--beta", type=float, default=1.0)
     p_id.add_argument("--seed", type=int, default=0)
     p_id.add_argument("--tol", type=float, default=1e-5)
-    add_common(p_id)
+    add_common(p_id, formats=("table", "json"))
 
     p_cr = sub.add_parser("criterion", help="largest certified cut radius")
     p_cr.add_argument("--potential", type=_load_potential, default="lennard-jones")
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cr.add_argument("--tol", type=float, default=1e-6)
     p_cr.add_argument("--mu-value", type=float, default=None,
                       help="constant certified mu bound (method=user)")
-    add_common(p_cr)
+    add_common(p_cr, formats=("table", "json"))
 
     p_bd = sub.add_parser("bounds", help="convergence-radius bound report")
     p_bd.add_argument("--potential", type=_load_potential, default="lennard-jones")
@@ -340,10 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "identity" and not 2 <= args.n <= MAX_IDENTITY_N:
-        parser.error(f"identity check supports 2 <= n <= {MAX_IDENTITY_N}, got n={args.n}")
+    if args.command == "identity" and not 2 <= args.n <= MAX_GRAPH_N:
+        parser.error(f"identity check supports 2 <= n <= {MAX_GRAPH_N}, got n={args.n}")
     if args.command == "identity" and not (math.isfinite(args.beta) and args.beta >= 0):
         parser.error(f"beta must be finite and non-negative, got {args.beta!r}")
+    user_mu = args.command == "criterion" and args.method == "user"
+    if user_mu and (args.mu_value is None or not args.mu_value >= 0):
+        parser.error(f"--method user needs a non-negative --mu-value, got {args.mu_value!r}")
     if args.command == "bounds" and not (math.isfinite(args.beta) and args.beta > 0):
         parser.error(f"beta must be finite and positive, got {args.beta!r}")
     try:

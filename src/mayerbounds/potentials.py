@@ -7,8 +7,8 @@ first knot, zero beyond the last).
 
 `split(V, a)` checks that a is a valid cut radius, V(r) >= V(a) > 0 on
 (0, a], and returns V(a), the level at which the bounds cap V inside a.  The
-precondition is verified on a geometric grid of 1e4 points plus the
-endpoint; it is a numerical check, not a proof.
+check is exact: it compares V(a) with `PairPotential.floor(0, a)`, the
+infimum of V over (0, a] worked out from each kind's monotone pieces.
 
 All evaluators accept numpy arrays and are safe to share across threads
 (immutable after construction).
@@ -39,10 +39,6 @@ __all__ = [
     "potential_from_config",
 ]
 
-SPLIT_GRID_POINTS = 10_000
-SPLIT_GRID_INNER_FACTOR = 1e-6
-
-
 class PotentialDomainError(ValueError):
     """Potential evaluated at a non-positive radius."""
 
@@ -59,7 +55,8 @@ class PairPotential:
     beyond every feature radius (empty tuple = identically zero tail, None =
     no closed-form tail known).  `feature_radii` lists radii where the
     potential or its derivative may jump or cross zero; integrators seed
-    panel breaks there.
+    panel breaks there.  `floor(lo, hi)` is the exact infimum of V over
+    (lo, hi], for 0 <= lo < hi.
     """
 
     kind: str = "abstract"
@@ -74,6 +71,9 @@ class PairPotential:
         return float(out) if np.isscalar(r) or arr.ndim == 0 else out
 
     def _evaluate(self, r: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def floor(self, lo: float, hi: float) -> float:
         raise NotImplementedError
 
     def tail_terms(self) -> tuple[tuple[float, float], ...] | None:
@@ -99,6 +99,10 @@ class LennardJones(PairPotential):
     def _evaluate(self, r):
         inv6 = r**-6.0
         return inv6 * inv6 - 2.0 * inv6
+
+    def floor(self, lo, hi):
+        # falls on (0, 1], rises after
+        return self(min(max(lo, 1.0), hi))
 
     def tail_terms(self):
         return ((1.0, 12.0), (-2.0, 6.0))
@@ -144,6 +148,9 @@ class InversePower(PairPotential):
     def _evaluate(self, r):
         return self.coefficient * r ** (-self.exponent)
 
+    def floor(self, lo, hi):
+        return self(hi)  # coefficient >= 0: V never rises
+
     def tail_terms(self):
         return ((self.coefficient, self.exponent),)
 
@@ -172,6 +179,11 @@ class HardCoreWrap(PairPotential):
 
     def _evaluate(self, r):
         return np.where(r <= self.core_radius, self.height, self.tail._evaluate(r))
+
+    def floor(self, lo, hi):
+        core = (self.height,) if lo < self.core_radius else ()
+        tail = (self.tail.floor(max(lo, self.core_radius), hi),) if hi > self.core_radius else ()
+        return min(core + tail)
 
     def tail_terms(self):
         return self.tail.tail_terms()
@@ -212,6 +224,13 @@ class TabulatedPotential(PairPotential):
     def _evaluate(self, r):
         return np.interp(r, self._radii, self._values, left=self._values[0], right=0.0)
 
+    def floor(self, lo, hi):
+        # linear between knots: the infimum is V at an end (which covers the
+        # constant inside the first knot and the 0 past the last) or a knot
+        # value (both sides of a step at equal radii)
+        inside = self._values[(lo <= self._radii) & (self._radii <= hi)]
+        return float(np.min(np.concatenate((self._evaluate(np.array([lo, hi])), inside))))
+
     def tail_terms(self):
         return ()
 
@@ -228,10 +247,6 @@ def negative_part(potential: PairPotential, r):
     return np.maximum(0.0, -np.asarray(value)) if not np.isscalar(value) else max(0.0, -value)
 
 
-def split_grid(a: float) -> np.ndarray:
-    return np.geomspace(a * SPLIT_GRID_INNER_FACTOR, a, SPLIT_GRID_POINTS)
-
-
 def split(potential: PairPotential, a: float) -> float:
     """V(a), after checking that V(r) >= V(a) > 0 on (0, a]."""
     if a <= 0:
@@ -239,13 +254,10 @@ def split(potential: PairPotential, a: float) -> float:
     value_at_cut = potential(a)
     if not value_at_cut > 0:
         raise NotBasuevAtCutError(f"V(a) = {value_at_cut:.6g} is not positive at a = {a}")
-    grid = split_grid(a)
-    values = potential(grid)
-    bad = values < value_at_cut
-    if np.any(bad):
-        r_bad = float(grid[bad][0])
+    floor = potential.floor(0.0, a)
+    if not floor >= value_at_cut:  # a NaN floor fails too
         raise NotBasuevAtCutError(
-            f"V({r_bad:.6g}) = {float(potential(r_bad)):.6g} < V(a) = {value_at_cut:.6g}; "
+            f"inf V on (0, a] = {floor:.6g} < V(a) = {value_at_cut:.6g}; "
             f"the cut precondition fails at a = {a}"
         )
     return value_at_cut
@@ -346,6 +358,8 @@ def lj_type_check(
 
 def potential_from_config(config: Mapping) -> PairPotential:
     """Build a potential from its JSON configuration document."""
+    if not isinstance(config, Mapping):
+        raise ValueError(f"a potential config must be a JSON object, got {type(config).__name__}")
     kind = config.get("kind")
     d = int(config.get("d", 3))
     if kind in ("lennard-jones", "lj"):

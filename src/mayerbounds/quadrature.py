@@ -31,7 +31,6 @@ __all__ = [
     "integrate_adaptive",
     "radial_integral",
     "stable_ratio",
-    "expm1_over_x",
 ]
 
 
@@ -277,35 +276,27 @@ def radial_integral_err(
     def integrand(r: np.ndarray) -> np.ndarray:
         return surface * r ** (d - 1) * g(r)
 
+    top, tail_value = hi, 0.0
     if math.isinf(hi):
         if tail is None:
             raise TemperednessError(
                 "infinite upper limit requires declared power-law tail terms"
             )
-        cut = spec.tail_cut
-        tail_value = power_tail_integral(tail, d, max(lo, cut))
-        if lo >= cut:
+        top = spec.tail_cut
+        tail_value = power_tail_integral(tail, d, max(lo, top))
+        if lo >= top:
             return tail_value, 0.0
-        value, err = integrate_adaptive(
-            integrand,
-            lo,
-            cut,
-            rel_tol=spec.rel_tol,
-            abs_tol=spec.abs_tol,
-            max_panels=spec.max_subdivisions,
-            breakpoints=breakpoints,
-        )
-        return value + tail_value, err
     value, err = integrate_adaptive(
         integrand,
         lo,
-        hi,
+        top,
         rel_tol=spec.rel_tol,
         abs_tol=spec.abs_tol,
         max_panels=spec.max_subdivisions,
         breakpoints=breakpoints,
     )
-    return value, err
+    # integrate_adaptive never returns -0.0, so a finite hi keeps its bits
+    return value + tail_value, err
 
 
 def edge_ladder(lo: float, hi: float, depth: int = 48) -> list[float]:
@@ -364,17 +355,3 @@ def stable_ratio(x):
         )
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
-
-def expm1_over_x(x):
-    """(e^x - 1)/x with the removable singularity filled in (value 1 at 0)."""
-    arr = np.asarray(x, dtype=float)
-    small = np.abs(arr) < 1e-5
-    safe = np.where(small, 1.0, arr)
-    tiny = np.where(small, arr, 0.0)
-    with np.errstate(over="ignore"):
-        out = np.where(
-            small,
-            1.0 + tiny / 2.0 + tiny * tiny / 6.0 + tiny * tiny * tiny / 24.0,
-            np.expm1(safe) / safe,
-        )
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out

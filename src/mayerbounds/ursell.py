@@ -85,6 +85,8 @@ class InteractionMatrix:
     cutoff: float | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"an interaction matrix needs n >= 1 points, got n={self.n}")
         v = np.array(self.values, dtype=float)
         if v.shape != (self.n, self.n):
             raise ValueError(f"values must be ({self.n},{self.n}), got {v.shape}")

@@ -21,6 +21,15 @@ def run(argv, capsys):
     return code, out
 
 
+def run_subprocess(argv, cwd):
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "mayerbounds", *argv],
+        capture_output=True, text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
 class TestIdentity:
     def test_two_point_exact(self, capsys):
         code, out = run(["identity", "--n", "2", "--seed", "0"], capsys)
@@ -141,6 +150,19 @@ class TestBounds:
         assert code == 1
         assert "V(r) >= V(a) > 0" in out
 
+    @pytest.mark.parametrize("knots", [
+        [[0.3, 10], [0.30001, 1], [0.30002, 10], [0.6, 5]],  # narrower than a 1e4 grid
+        [[1e-8, 0.5], [2e-8, 10], [0.6, 5]],  # below a grid's inner end 1e-6 a
+    ])
+    def test_dip_between_samples_fails_the_cut(self, knots, capsys, tmp_path):
+        cfg = tmp_path / "dip.json"
+        cfg.write_text(json.dumps({"kind": "tabulated", "knots": knots}))
+        code, out = run(
+            ["bounds", "--potential", str(cfg), "--a", "0.6", "--b-upper", "1"], capsys
+        )
+        assert code == 1
+        assert "V(r) >= V(a) > 0" in out
+
     def test_missing_a_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["bounds"])
@@ -197,13 +219,7 @@ class TestBounds:
     def test_large_beta_is_valid_json(self, beta):
         # past beta ~ 26 r_pr underflows to 0, and past beta B-bar ~ 709
         # e^{beta B-bar} overflows: the report must still be finite JSON
-        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "mayerbounds", "bounds", "--a", "0.6397", "--beta", beta,
-             "--format", "json"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_subprocess(["bounds", "--a", "0.6397", "--beta", beta, "--format", "json"], None)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
 
@@ -269,6 +285,34 @@ class TestReproduce:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", [["identity", "--n", "3"], ["criterion"]])
+    def test_csv_is_offered_only_where_printed(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--format", "csv"])
+        assert info.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, argv", [
+        (None, ["bounds", "--a", "0.5", "--potential", "missing.json"]),
+        ("[1, 2]", ["bounds", "--a", "0.5", "--potential", "cfg.json"]),
+        ('{"kind": "inverse-power", "p": 12}',
+         ["bounds", "--a", "0.5", "--b-upper", "1", "--potential", "cfg.json"]),
+        ('{"kind": "hard-core", "a": 0.5, "H": 3, "tail": "lj"}',
+         ["bounds", "--a", "0.5", "--b-upper", "1", "--potential", "cfg.json"]),
+        (None, ["criterion", "--method", "user"]),
+        (None, ["criterion", "--method", "user", "--mu-value", "-1"]),
+    ], ids=["missing-file", "not-an-object", "missing-key", "tail-not-an-object",
+            "user-without-mu", "user-negative-mu"])
+    def test_bad_input_is_usage_error_without_traceback(self, config, argv, tmp_path):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+        proc = run_subprocess(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        error = proc.stderr.split("error: ", 1)[1]
+        assert error.count("\n") == 1 and error.endswith("\n")
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from mayerbounds.potentials import (
     InversePower,
@@ -24,6 +25,13 @@ from mayerbounds.potentials import (
 )
 
 LJ_ZERO = 2.0 ** (-1.0 / 6.0)
+
+# dips that a sampled check of (0, a] misses: one narrower than a 1e4-point
+# geometric grid, one below the grid's inner end 1e-6 a
+DIP_KNOTS = {
+    "narrow": ((0.3, 10.0), (0.30001, 1.0), (0.30002, 10.0), (0.6, 5.0)),
+    "innermost": ((1e-8, 0.5), (2e-8, 10.0), (0.6, 5.0)),
+}
 
 
 class TestLennardJones:
@@ -107,6 +115,95 @@ class TestSplit:
     def test_rejects_nonpositive_cut(self):
         with pytest.raises(PotentialDomainError):
             split(LennardJones(), -0.1)
+
+    @pytest.mark.parametrize("name", sorted(DIP_KNOTS))
+    def test_rejects_dip_between_samples(self, name):
+        dip = TabulatedPotential(knots=DIP_KNOTS[name])
+        with pytest.raises(NotBasuevAtCutError, match="inf V on"):
+            split(dip, 0.6)
+
+    def test_rejects_nan_inside_the_cut(self):
+        with pytest.raises(NotBasuevAtCutError):
+            split(TabulatedPotential(knots=((0.3, math.nan), (0.6, 5.0))), 0.6)
+
+
+def _random_tabulated(rng):
+    radii = np.sort(rng.uniform(0.2, 3.0, 8))
+    return TabulatedPotential(knots=tuple(zip(radii, rng.normal(0.0, 2.0, 8))))
+
+
+FLOOR_CASES = {
+    "lennard-jones": lambda rng: LennardJones(),
+    "inverse-power": lambda rng: InversePower(float(rng.uniform(0.0, 3.0)), 12.0),
+    "tabulated": _random_tabulated,
+    "hard-core/lj": lambda rng: hard_core_wrap(LennardJones(), float(rng.uniform(0.5, 1.5)), 0.5),
+    "hard-core/tabulated": lambda rng: hard_core_wrap(_random_tabulated(rng), 0.9, 1.0),
+}
+
+
+def _random_range(rng):
+    lo = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.05, 3.5))
+    return lo, lo + float(rng.uniform(1e-3, 3.0))
+
+
+class TestFloor:
+    """floor(lo, hi) against independent minimisers on random (lo, hi)."""
+
+    @pytest.mark.parametrize("kind", sorted(FLOOR_CASES))
+    def test_matches_dense_grid(self, kind):
+        rng = np.random.default_rng(sorted(FLOOR_CASES).index(kind))
+        for _ in range(40):
+            potential = FLOOR_CASES[kind](rng)
+            lo, hi = _random_range(rng)
+            grid = np.linspace(lo, hi, 20_001)[1:]
+            if lo > 0:
+                grid = np.concatenate(([np.nextafter(lo, hi)], grid))
+            values = potential(grid)
+            floor = potential.floor(lo, hi)
+            # never above a sampled value, and below the samples by at most
+            # one grid step of V
+            assert floor <= values.min() + 1e-12 * abs(values.min())
+            assert values.min() - floor <= np.abs(np.diff(values)).max() + 1e-12
+
+    @pytest.mark.parametrize("kind", ["lennard-jones", "hard-core/lj"])
+    def test_matches_scipy_minimiser(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            potential = FLOOR_CASES[kind](rng)
+            lo, hi = _random_range(rng)
+            # a hard core is constant on its core: minimise each piece apart,
+            # over its inside and its ends ((p, q] is open at p)
+            core = getattr(potential, "core_radius", 0.0)
+            found = math.inf
+            for p, q in [(lo, min(hi, core)), (max(lo, core), hi)]:
+                if p < q:
+                    inner = minimize_scalar(
+                        potential, bounds=(p, q), method="bounded", options={"xatol": 1e-12}
+                    )
+                    ends = [q, np.nextafter(p, q)] if p > 0 else [q]
+                    found = min(found, inner.fun, *potential(np.array(ends)))
+            floor = potential.floor(lo, hi)
+            assert floor <= found + 1e-12 * abs(found)
+            assert math.isclose(floor, found, rel_tol=1e-9, abs_tol=1e-12)
+
+    def test_examples(self):
+        assert LennardJones().floor(0.0, 0.6397) == lennard_jones(0.6397)
+        assert LennardJones().floor(0.5, 3.0) == -1.0
+        assert LennardJones().floor(1.5, 3.0) == lennard_jones(1.5)
+        assert InversePower(2.0, 6.0).floor(0.0, 2.0) == 2.0 * 2.0**-6.0
+        tab = TabulatedPotential(knots=((1.0, 2.0), (2.0, -1.0), (3.0, 4.0)))
+        assert tab.floor(0.0, 1.5) == 0.5
+        assert tab.floor(0.0, 2.5) == -1.0
+        assert tab.floor(2.5, 4.0) == 0.0  # zero past the last knot
+        assert tab.floor(0.0, 0.5) == 2.0  # constant inside the first knot
+        hc = hard_core_wrap(LennardJones(), 0.8, 100.0)
+        assert hc.floor(0.0, 0.5) == 100.0
+        assert hc.floor(0.0, 0.85) == lennard_jones(0.85)
+        assert hc.floor(0.9, 2.0) == -1.0
+
+    def test_equal_radii_step_counts_both_sides(self):
+        step = TabulatedPotential(knots=((0.5, 3.0), (1.0, 1.0), (1.0, 4.0), (2.0, 4.0)))
+        assert step.floor(0.0, 2.0) == 1.0
 
 
 class TestLJTypeCheck:

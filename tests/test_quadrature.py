@@ -20,9 +20,10 @@ from mayerbounds.quadrature import (
     QuadratureSpec,
     TemperednessError,
     edge_ladder,
-    expm1_over_x,
     integrate_adaptive,
+    power_tail_integral,
     radial_integral,
+    radial_integral_err,
     sphere_surface,
     sphere_volume,
     stable_ratio,
@@ -62,12 +63,14 @@ class TestStableRatio:
 
 
 class TestExpm1OverX:
+    """(e^x - 1)/x, the hard-core damping divisor, is stable_ratio(-x)."""
+
     @given(finite_floats)
     @settings(max_examples=200, deadline=None)
     def test_matches_high_precision(self, x):
         with mpmath.workdps(40):
             expected = float(mpmath.expm1(x) / x) if x != 0 else 1.0
-        assert math.isclose(expm1_over_x(x), expected, rel_tol=1e-12, abs_tol=1e-300)
+        assert math.isclose(stable_ratio(-x), expected, rel_tol=1e-12, abs_tol=1e-300)
 
 
 class TestIntegrateAdaptive:
@@ -154,6 +157,24 @@ class TestRadialIntegral:
         # circumference factor 2*pi in d = 2
         value = radial_integral(lambda r: np.ones_like(r), 2, 0.0, 1.0)
         assert math.isclose(value, math.pi, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("hi", [0.9, 2.5, math.inf])
+    def test_one_adaptive_integral_to_the_cut(self, hi):
+        # finite hi: exactly the adaptive integral; infinite hi: the adaptive
+        # integral to the tail cut plus the closed-form tail
+        def g(r):
+            return np.abs(r**-12.0 - 2.0 * r**-6.0)
+
+        tail = ((2.0, 6.0), (-1.0, 12.0))
+        spec = QuadratureSpec(tail_cut=2.0)
+        top = spec.tail_cut if math.isinf(hi) else hi
+        value, err = integrate_adaptive(
+            lambda r: sphere_surface(3) * r**2 * g(r), 0.5, top,
+            rel_tol=spec.rel_tol, abs_tol=spec.abs_tol, max_panels=spec.max_subdivisions,
+        )
+        if math.isinf(hi):
+            value += power_tail_integral(tail, 3, spec.tail_cut)
+        assert radial_integral_err(g, 3, 0.5, hi, spec, tail=tail) == (value, err)
 
     def test_non_integrable_tail_rejected(self):
         with pytest.raises(TemperednessError):

@@ -71,6 +71,12 @@ class TestInteractionMatrix:
         with pytest.raises(ValueError):
             InteractionMatrix(2, v)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_points_rejected(self, n):
+        # a 0-point matrix once passed and made ursell_partition_sum raise IndexError
+        with pytest.raises(ValueError, match="n >= 1"):
+            InteractionMatrix(n, np.zeros((0, 0)))
+
     def test_hard_core_requires_cutoff(self):
         m = InteractionMatrix.from_entries(2, {}, hard_core_pairs=[(1, 2)])
         with pytest.raises(HardCoreCutoffError):
