@@ -152,7 +152,7 @@ def _inner_integral(potential, a, spec, g) -> tuple[float, float]:
 
 
 def _is_zero_potential(potential: PairPotential) -> bool:
-    """Exact: V is 0 at every feature radius and the tail terms past them are 0."""
+    """Exact by the PairPotential contract: V is 0 at the feature radii, the tail terms 0."""
     if np.any(potential(potential.feature_radii()) != 0.0):
         return False
     terms = potential.tail_terms()

@@ -345,9 +345,11 @@ def main(argv=None) -> int:
         parser.error(f"identity check supports 2 <= n <= {MAX_GRAPH_N}, got n={args.n}")
     if args.command == "identity" and not (math.isfinite(args.beta) and args.beta >= 0):
         parser.error(f"beta must be finite and non-negative, got {args.beta!r}")
-    user_mu = args.command == "criterion" and args.method == "user"
-    if user_mu and (args.mu_value is None or not args.mu_value >= 0):
-        parser.error(f"--method user needs a non-negative --mu-value, got {args.mu_value!r}")
+    if args.command == "criterion" and args.method == "user":
+        try:
+            mu_bound_function("user", args.potential, mu_value=args.mu_value)
+        except ValueError as exc:
+            parser.error(f"--mu-value: {exc}")
     if args.command == "bounds" and not (math.isfinite(args.beta) and args.beta > 0):
         parser.error(f"beta must be finite and positive, got {args.beta!r}")
     try:

@@ -55,8 +55,9 @@ class PairPotential:
     beyond every feature radius (empty tuple = identically zero tail, None =
     no closed-form tail known).  `feature_radii` lists radii where the
     potential or its derivative may jump or cross zero; integrators seed
-    panel breaks there.  `floor(lo, hi)` is the exact infimum of V over
-    (lo, hi], for 0 <= lo < hi.
+    panel breaks there.  They must include every knot and kink, so that V at
+    them and the tail terms decide V everywhere.  `floor(lo, hi)`, which every
+    kind implements, is the exact infimum of V over (lo, hi], for 0 <= lo < hi.
     """
 
     kind: str = "abstract"
@@ -216,8 +217,9 @@ class TabulatedPotential(PairPotential):
 
     def __post_init__(self):
         radii = [r for r, _ in self.knots]
-        if not radii or any(r <= 0 for r in radii) or sorted(radii) != radii:
-            raise ValueError("knots must be sorted with positive radii")
+        if not radii or not np.all(np.isfinite(self.knots)) or any(r <= 0 for r in radii) \
+                or sorted(radii) != radii:
+            raise ValueError("knots must be finite and sorted, with positive radii")
         object.__setattr__(self, "_radii", np.array(radii))
         object.__setattr__(self, "_values", np.array([v for _, v in self.knots]))
 
@@ -225,9 +227,8 @@ class TabulatedPotential(PairPotential):
         return np.interp(r, self._radii, self._values, left=self._values[0], right=0.0)
 
     def floor(self, lo, hi):
-        # linear between knots: the infimum is V at an end (which covers the
-        # constant inside the first knot and the 0 past the last) or a knot
-        # value (both sides of a step at equal radii)
+        # linear between knots: the infimum is V at an end (constant inside the first
+        # knot, 0 past the last) or a knot value (both sides of a step at equal radii)
         inside = self._values[(lo <= self._radii) & (self._radii <= hi)]
         return float(np.min(np.concatenate((self._evaluate(np.array([lo, hi])), inside))))
 

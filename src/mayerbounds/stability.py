@@ -205,8 +205,8 @@ def mu_bound_function(
     if method == "yuhjtman":
         return lambda a: mu_upper_yuhjtman(a, potential)
     if method == "user":
-        if mu_value is None or mu_value < 0:
-            raise ValueError("user method requires a non-negative mu_value")
+        if mu_value is None or not mu_value >= 0:  # NaN fails too
+            raise ValueError(f"user method requires a non-negative mu_value, got {mu_value!r}")
         return lambda a: MuBound(a=a, value=mu_value, method="user-supplied")
     raise ValueError(f"unknown mu-bound method {method!r}")
 

@@ -219,7 +219,8 @@ class TestBounds:
     def test_large_beta_is_valid_json(self, beta):
         # past beta ~ 26 r_pr underflows to 0, and past beta B-bar ~ 709
         # e^{beta B-bar} overflows: the report must still be finite JSON
-        proc = run_subprocess(["bounds", "--a", "0.6397", "--beta", beta, "--format", "json"], None)
+        argv = ["bounds", "--a", "0.6397", "--beta", beta, "--format", "json"]
+        proc = run_subprocess(argv, None)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
 
@@ -299,10 +300,13 @@ class TestUsage:
          ["bounds", "--a", "0.5", "--b-upper", "1", "--potential", "cfg.json"]),
         ('{"kind": "hard-core", "a": 0.5, "H": 3, "tail": "lj"}',
          ["bounds", "--a", "0.5", "--b-upper", "1", "--potential", "cfg.json"]),
+        ('{"kind": "tabulated", "knots": [[0.3, Infinity], [0.6, 5]]}',
+         ["bounds", "--a", "0.6", "--b-upper", "1", "--potential", "cfg.json"]),
         (None, ["criterion", "--method", "user"]),
         (None, ["criterion", "--method", "user", "--mu-value", "-1"]),
+        (None, ["criterion", "--method", "user", "--mu-value", "nan"]),
     ], ids=["missing-file", "not-an-object", "missing-key", "tail-not-an-object",
-            "user-without-mu", "user-negative-mu"])
+            "infinite-knot", "user-without-mu", "user-negative-mu", "user-nan-mu"])
     def test_bad_input_is_usage_error_without_traceback(self, config, argv, tmp_path):
         if config is not None:
             (tmp_path / "cfg.json").write_text(config)

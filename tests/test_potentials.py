@@ -122,9 +122,10 @@ class TestSplit:
         with pytest.raises(NotBasuevAtCutError, match="inf V on"):
             split(dip, 0.6)
 
-    def test_rejects_nan_inside_the_cut(self):
-        with pytest.raises(NotBasuevAtCutError):
-            split(TabulatedPotential(knots=((0.3, math.nan), (0.6, 5.0))), 0.6)
+    def test_rejects_nan_floor(self):
+        # a NaN core height passes HardCoreWrap's checks; its floor is NaN
+        with pytest.raises(NotBasuevAtCutError, match="inf V on"):
+            split(hard_core_wrap(LennardJones(), 0.3, math.nan), 0.6)
 
 
 def _random_tabulated(rng):
@@ -270,6 +271,18 @@ class TestTabulated:
     def test_unsorted_knots_rejected(self):
         with pytest.raises(ValueError):
             TabulatedPotential(knots=((2.0, 1.0), (1.0, 2.0)))
+
+    @pytest.mark.parametrize("knots", [
+        ((0.3, math.inf), (0.6, 5.0)),
+        ((0.3, math.nan), (0.6, 5.0)),
+        ((0.6, 5.0), (math.inf, 1.0)),
+        ((0.6, 5.0), (math.nan, 1.0)),
+    ], ids=["inf-value", "nan-value", "inf-radius", "nan-radius"])
+    def test_non_finite_knots_rejected(self, knots):
+        # np.interp turns an infinite knot value into NaN on the pieces next
+        # to it, where V has no infimum to check the cut against
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedPotential(knots=knots)
 
 
 class TestConfig:

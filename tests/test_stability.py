@@ -17,6 +17,7 @@ from mayerbounds.stability import (
     StabilityData,
     criterion_holds,
     find_max_a,
+    mu_bound_function,
     lj_stability_registry,
     mu_upper_cube,
     mu_upper_yuhjtman,
@@ -156,6 +157,11 @@ class TestFindMaxA:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             find_max_a(LJ, "magic", (0.6, 0.7))
+
+    @pytest.mark.parametrize("mu_value", [None, -1.0, math.nan])
+    def test_user_method_needs_non_negative_mu(self, mu_value):
+        with pytest.raises(ValueError, match="non-negative mu_value"):
+            mu_bound_function("user", LJ, mu_value=mu_value)
 
 
 class TestRegistry:
