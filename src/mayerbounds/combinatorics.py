@@ -49,25 +49,23 @@ def connected_edge_masks(n: int) -> np.ndarray:
     """Ascending bitmasks (over pair_order bits) of the connected graphs on [n].
 
     Connectivity for all 2^(n(n-1)/2) candidates at once: per-graph adjacency
-    bitmasks, then n-1 parallel reachability sweeps from vertex 1.
+    bitmasks built by bit doubling (the masks holding edge e as their top bit
+    are those below it plus e), then n-1 parallel reachability sweeps from
+    vertex 1.
     """
     _check_range(n, 1, MAX_GRAPH_N, "connected_edge_masks")
-    if n == 1:
-        return np.array([0], dtype=np.int64)
     pairs = pair_order(n)
-    n_masks = 1 << len(pairs)
-    masks = np.arange(n_masks, dtype=np.int64)
-    adj = np.zeros((n, n_masks), dtype=np.uint8)
+    adj = np.zeros((n, 1 << len(pairs)), dtype=np.uint8)  # bit u-1 of adj[v-1]: edge uv
     for e, (i, j) in enumerate(pairs):
-        has = ((masks >> e) & 1).astype(np.uint8)
-        adj[i - 1] |= has << (j - 1)
-        adj[j - 1] |= has << (i - 1)
-    reach = np.ones(n_masks, dtype=np.uint8)  # bit v-1 set iff vertex v reached
+        top = slice(1 << e, 2 << e)
+        adj[:, top] = adj[:, : 1 << e]
+        adj[i - 1, top] |= 1 << (j - 1)
+        adj[j - 1, top] |= 1 << (i - 1)
+    reach = np.ones(adj.shape[1], dtype=np.uint8)  # bit v-1 set iff vertex v reached
     for _ in range(n - 1):
         for v in range(n):
             np.bitwise_or(reach, ((reach >> v) & 1) * adj[v], out=reach)
-    full = np.uint8((1 << n) - 1)
-    return masks[reach == full]
+    return np.flatnonzero(reach == (1 << n) - 1)
 
 
 def enumerate_labeled_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:

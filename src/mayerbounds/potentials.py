@@ -143,8 +143,8 @@ class InversePower(PairPotential):
     kind: str = field(default="inverse-power", init=False)
 
     def __post_init__(self):
-        if self.coefficient < 0 or self.exponent <= 0:
-            raise ValueError("inverse power needs coefficient >= 0 and exponent > 0")
+        if not (0 <= self.coefficient < np.inf and 0 < self.exponent < np.inf):
+            raise ValueError("inverse power needs a finite coefficient >= 0 and exponent > 0")
 
     def _evaluate(self, r):
         return self.coefficient * r ** (-self.exponent)
@@ -174,8 +174,8 @@ class HardCoreWrap(PairPotential):
     kind: str = field(default="hard-core", init=False)
 
     def __post_init__(self):
-        if self.core_radius <= 0 or self.height <= 0:
-            raise ValueError("hard core needs positive radius and height")
+        if not (0 < self.core_radius < np.inf and 0 < self.height < np.inf):
+            raise ValueError("hard core needs a finite positive radius and height")
         object.__setattr__(self, "d", self.tail.d)
 
     def _evaluate(self, r):
@@ -289,12 +289,14 @@ class LJTypeEnvelope:
     d: int = 3
 
     def __post_init__(self):
-        if self.c_repulsion <= 0 or self.r1 <= 0 or self.r2 <= 0:
-            raise ValueError("repulsion coefficient and radii must be positive")
+        # comparisons written so that NaN fails them
+        if not all(0 < x < np.inf for x in (self.c_repulsion, self.r1, self.r2)):
+            raise ValueError("repulsion coefficient and radii must be finite and positive")
         # c_attraction = well_depth = 0 describes a purely repulsive potential
-        if self.c_attraction < 0 or self.well_depth < 0 or self.decay_surplus <= 0:
+        if not (0 <= self.c_attraction < np.inf and 0 <= self.well_depth < np.inf
+                and 0 < self.decay_surplus < np.inf):
             raise ValueError(
-                "need c_attraction >= 0, well_depth >= 0 and decay_surplus > 0"
+                "need finite c_attraction >= 0, well_depth >= 0 and decay_surplus > 0"
             )
         if self.r1 > self.r2:
             raise ValueError("need r1 <= r2")

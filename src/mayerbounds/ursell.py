@@ -3,7 +3,12 @@
 For a symmetric matrix V_ij over [n] and inverse temperature beta, the
 connected function phi_beta([n]) is evaluated by independent routes:
 
-1. `ursell_graph_sum`      — sum over connected graphs of prod (e^{-beta V_ij} - 1);
+1. `ursell_graph_sum`      — sum over connected graphs of prod (e^{-beta V_ij} - 1),
+                             grouped by their high edges: the edge bits split
+                             into a low and a high half, and the sum is
+                             sum_h P_high[h] sum_l C[h, l] P_low[l] over the
+                             edge products of each half and a cached 0/1
+                             connectivity table C;
 2. `ursell_partition_sum`  — Mobius sum over set partitions, by the recursion
                              phi(S) = Z(S) - sum_T phi(T) Z(S minus T) on the
                              subset lattice, Z = e^{-beta U};
@@ -140,7 +145,7 @@ class InteractionMatrix:
 
     def effective_values(self) -> np.ndarray:
         v = self.values
-        if np.any(np.isinf(v)):
+        if np.isinf(v).any():
             if self.cutoff is None:
                 raise HardCoreCutoffError(
                     "matrix has hard-core entries and no cutoff is configured"
@@ -196,9 +201,16 @@ def subset_energies(m: InteractionMatrix) -> np.ndarray:
 def ursell_graph_sum(m: InteractionMatrix, beta: float) -> float:
     """Exact sum over connected graphs on [n] of prod_edges (e^{-beta V} - 1).
 
-    Edge products for all 2^(n(n-1)/2) edge subsets are built by a prefix
-    doubling recurrence, then summed over the precomputed connected bitmasks;
-    this is the plain graph sum, just evaluated without materializing graphs.
+    The E = n(n-1)/2 edge bits split into L = floor(E/2) low bits and H = E - L
+    high bits, and the connected graphs are grouped by their high edges:
+
+        sum_h P_high[h] * sum_l connected[h, l] * P_low[l],
+
+    where P_low and P_high hold the edge products of every low and every high
+    edge subset (2^L + 2^H values) and `connected` is the cached table of
+    _graph_tables, summed a block of rows at a time.  This is the plain graph
+    sum, evaluated without materializing graphs; it shares nothing with the
+    partition route.
 
     Accumulation runs in extended precision: the sum is cancellation-heavy
     (the result can sit many orders below the largest term), and the
@@ -209,15 +221,43 @@ def ursell_graph_sum(m: InteractionMatrix, beta: float) -> float:
         raise SizeLimitError(f"graph sum supports n <= {MAX_GRAPH_N}, got {n}")
     if n == 1:
         return 1.0
-    vals = m.effective_values()
-    pairs = pair_order(n)
-    weights = np.expm1(
-        np.array([-beta * vals[i - 1, j - 1] for i, j in pairs], dtype=np.longdouble)
-    )
-    products = np.ones(1 << len(pairs), dtype=np.longdouble)
-    for e in range(len(pairs)):
-        products[1 << e : 2 << e] = products[: 1 << e] * weights[e]
-    return float(products[connected_edge_masks(n)].sum())
+    pairs, bits, connected = _graph_tables(n)
+    high, low = connected.shape
+    weights = np.expm1(-beta * m.effective_values().take(pairs), dtype=np.longdouble)
+    products = np.where(bits, weights, 1).prod(axis=1)  # [r, s]: row r's weights over s
+    p_low, p_high = products[0, :low], products[1]
+    total = 0.0
+    rows = max(1, _GRAPH_BLOCK // low)
+    for h in range(0, high, rows):
+        block = slice(h, h + rows)
+        total += p_high[block] @ np.where(connected[block], p_low, 0).sum(axis=1)
+    return float(total)
+
+
+# connectivity entries summed per block of the graph route (2^16 long doubles: 1 MB)
+_GRAPH_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _graph_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Route-1 tables for the graphs on [n], E = n(n-1)/2 edge bits in pair_order.
+
+    pairs[r, e, 0]  flat index into the n x n matrix of the pair of low bit e
+                    (r = 0) or high bit e (r = 1); when E is odd, row 0 ends
+                    with the diagonal, whose factor only enters low products
+                    past 2^L, which are never read;
+    bits[e, s]      bit e of s, for the 2^H subsets s of H bits;
+    connected[h, l] True iff the graph with high bits h and low bits l is
+                    connected, shape (2^H, 2^L), from connected_edge_masks.
+    """
+    order = [(i - 1) * n + j - 1 for i, j in pair_order(n)]
+    low = len(order) // 2
+    high = len(order) - low
+    pairs = np.array(order[:low] + [0] * (high - low) + order[low:]).reshape(2, high, 1)
+    bits = (np.arange(1 << high) >> np.arange(high)[:, None] & 1).astype(bool)
+    connected = np.zeros(1 << len(order), dtype=bool)
+    connected[connected_edge_masks(n)] = True
+    return pairs, bits, connected.reshape(-1, 1 << low)
 
 
 # ---------------------------------------------------------------------------

@@ -302,11 +302,16 @@ class TestUsage:
          ["bounds", "--a", "0.5", "--b-upper", "1", "--potential", "cfg.json"]),
         ('{"kind": "tabulated", "knots": [[0.3, Infinity], [0.6, 5]]}',
          ["bounds", "--a", "0.6", "--b-upper", "1", "--potential", "cfg.json"]),
+        ('{"kind": "hard-core", "a": 0.3, "H": NaN, "tail": {"kind": "lj"}}',
+         ["bounds", "--a", "0.6", "--b-upper", "1", "--potential", "cfg.json"]),
+        ('{"kind": "inverse-power", "C": Infinity, "p": 12}',
+         ["bounds", "--a", "0.6", "--b-upper", "1", "--potential", "cfg.json"]),
         (None, ["criterion", "--method", "user"]),
         (None, ["criterion", "--method", "user", "--mu-value", "-1"]),
         (None, ["criterion", "--method", "user", "--mu-value", "nan"]),
     ], ids=["missing-file", "not-an-object", "missing-key", "tail-not-an-object",
-            "infinite-knot", "user-without-mu", "user-negative-mu", "user-nan-mu"])
+            "infinite-knot", "nan-core-height", "infinite-coefficient", "user-without-mu",
+            "user-negative-mu", "user-nan-mu"])
     def test_bad_input_is_usage_error_without_traceback(self, config, argv, tmp_path):
         if config is not None:
             (tmp_path / "cfg.json").write_text(config)

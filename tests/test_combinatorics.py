@@ -139,6 +139,10 @@ class TestConnectedGraphs:
         assert 0 not in masks
         assert 1 not in masks
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_masks_are_int64(self, n):
+        assert connected_edge_masks(n).dtype == np.int64
+
     def test_n7_total_count(self):
         # labeled connected graphs on 7 vertices
         assert len(connected_edge_masks(7)) == 1_866_256

@@ -14,6 +14,7 @@ from mayerbounds.potentials import (
     LennardJones,
     LJTypeEnvelope,
     NotBasuevAtCutError,
+    PairPotential,
     PotentialDomainError,
     TabulatedPotential,
     hard_core_wrap,
@@ -32,6 +33,9 @@ DIP_KNOTS = {
     "narrow": ((0.3, 10.0), (0.30001, 1.0), (0.30002, 10.0), (0.6, 5.0)),
     "innermost": ((1e-8, 0.5), (2e-8, 10.0), (0.6, 5.0)),
 }
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+NON_FINITE_IDS = ["nan", "inf", "-inf"]
 
 
 class TestLennardJones:
@@ -123,9 +127,17 @@ class TestSplit:
             split(dip, 0.6)
 
     def test_rejects_nan_floor(self):
-        # a NaN core height passes HardCoreWrap's checks; its floor is NaN
+        # every built-in kind rejects NaN parameters, so a NaN floor needs a
+        # kind of its own: positive at the cut, no infimum below it
+        class NanFloor(PairPotential):
+            def _evaluate(self, r):
+                return 1.0 / r
+
+            def floor(self, lo, hi):
+                return math.nan
+
         with pytest.raises(NotBasuevAtCutError, match="inf V on"):
-            split(hard_core_wrap(LennardJones(), 0.3, math.nan), 0.6)
+            split(NanFloor(), 0.6)
 
 
 def _random_tabulated(rng):
@@ -241,6 +253,16 @@ class TestLJTypeCheck:
         with pytest.raises(ValueError):
             LJTypeEnvelope(1.0, 1.0, 0.8, 1.0, 1.0, 0.0)  # no decay surplus
 
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
+    @pytest.mark.parametrize("field", [
+        "c_repulsion", "c_attraction", "r1", "r2", "well_depth", "decay_surplus",
+    ])
+    def test_non_finite_envelope_rejected(self, field, bad):
+        fields = dict(c_repulsion=0.5, c_attraction=2.0, r1=0.8, r2=1.0,
+                      well_depth=1.0, decay_surplus=3.0)
+        with pytest.raises(ValueError, match="finite"):
+            LJTypeEnvelope(**fields | {field: bad})
+
 
 class TestHardCoreWrap:
     def test_values(self):
@@ -258,6 +280,29 @@ class TestHardCoreWrap:
             hard_core_wrap(LennardJones(), 0.0, 1.0)
         with pytest.raises(ValueError):
             hard_core_wrap(LennardJones(), 1.0, -5.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            hard_core_wrap(LennardJones(), 0.3, bad)
+        with pytest.raises(ValueError, match="finite"):
+            hard_core_wrap(LennardJones(), bad, 10.0)
+
+
+class TestInversePower:
+    def test_validation(self):
+        assert InversePower(0.0, 6.0)(2.0) == 0.0
+        with pytest.raises(ValueError):
+            InversePower(-1.0, 6.0)
+        with pytest.raises(ValueError):
+            InversePower(1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            InversePower(bad, 12.0)
+        with pytest.raises(ValueError, match="finite"):
+            InversePower(1.0, bad)
 
 
 class TestTabulated:

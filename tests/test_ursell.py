@@ -10,6 +10,7 @@ exponential at 50 digits.
 import itertools
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -285,6 +286,30 @@ class TestPartitionRoute:
             ursell_partition_sum(m, 1.0)
         cut = m.with_cutoff(30.0)
         assert rel_diff(ursell_partition_sum(cut, 1.0), ursell_graph_sum(cut, 1.0)) < 1e-10
+
+
+class TestGraphRoute:
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_matches_explicit_mobius_sum(self, n):
+        # the largest n, where the high/low grouping sums the most terms
+        for seed in range(2):
+            m = random_interaction_matrix(n, 53 * n + seed)
+            for beta in (0.3, 2.7, 8.0):
+                expected = partition_mobius_mp(m, beta)
+                got = ursell_graph_sum(m, beta)
+                assert float(abs(got - expected) / abs(expected)) <= 1e-11
+
+    def test_warm_n7_memory(self):
+        # 2^21 edge subsets: a product per subset would hold 32 MB of long doubles
+        m = random_interaction_matrix(7, 0)
+        ursell_graph_sum(m, 1.0)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            ursell_graph_sum(m, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSimplexIntegral:
