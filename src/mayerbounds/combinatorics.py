@@ -1,4 +1,5 @@
-"""Exact enumeration of connected graphs and labeled trees on [n].
+"""Exact enumeration of connected graphs, component partitions and labeled
+trees on [n].
 
 Vertex labels are 1-based: [n] = {1, ..., n}.  Enumeration orders are
 canonical so golden tests stay stable:
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ __all__ = [
     "SizeLimitError",
     "connected_edge_masks",
     "enumerate_labeled_trees",
+    "graph_components",
     "pair_order",
 ]
 
@@ -44,28 +45,53 @@ def pair_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-@lru_cache(maxsize=None)
 def connected_edge_masks(n: int) -> np.ndarray:
-    """Ascending bitmasks (over pair_order bits) of the connected graphs on [n].
-
-    Connectivity for all 2^(n(n-1)/2) candidates at once: per-graph adjacency
-    bitmasks built by bit doubling (the masks holding edge e as their top bit
-    are those below it plus e), then n-1 parallel reachability sweeps from
-    vertex 1.
-    """
+    """Ascending bitmasks (over pair_order bits) of the connected graphs on [n]:
+    those in which the component of vertex 1 is all of [n]."""
     _check_range(n, 1, MAX_GRAPH_N, "connected_edge_masks")
+    return np.flatnonzero(_component_masks(n)[0] == (1 << n) - 1)
+
+
+def graph_components(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The component partition of each of the 2^(n(n-1)/2) graphs on [n].
+
+    classes[g]  index of the partition of graph g (edge-subset bitmask over
+                pair_order bits); partitions are numbered in order of first
+                appearance, so class 0 is the empty graph's n singletons;
+    blocks[c]   vertex bitmasks (bit v-1 = vertex v) of partition c's blocks,
+                ordered by lowest vertex and padded with 0 to length n.
+
+    Every partition of [n] is some graph's, so blocks has Bell(n) rows.
+    """
+    _check_range(n, 1, MAX_GRAPH_N, "graph_components")
+    comp = _component_masks(n)
+    key = np.zeros(comp.shape[1], dtype=np.int64)  # the n component masks, n bits each
+    for v in range(n):
+        key |= comp[v].astype(np.int64) << n * v
+    _, first, classes = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    classes = np.argsort(order)[classes]
+    rows = comp[:, first[order]].T.astype(np.int64)  # row c: the component mask of each vertex
+    blocks = np.where(rows & -rows == 1 << np.arange(n), rows, 0)  # kept at lowest vertex
+    return classes, np.take_along_axis(blocks, np.argsort(blocks == 0, axis=1, kind="stable"), 1)
+
+
+def _component_masks(n: int) -> np.ndarray:
+    """comp[v-1, g]: vertex bitmask (bit u-1 = vertex u) of the component of v
+    in graph g, for all 2^(n(n-1)/2) graphs on [n] at once.
+
+    Bit doubling: the graphs holding edge e = ij as their top bit are those
+    below it plus e, which merges the components of i and j.
+    """
     pairs = pair_order(n)
-    adj = np.zeros((n, 1 << len(pairs)), dtype=np.uint8)  # bit u-1 of adj[v-1]: edge uv
+    comp = np.empty((n, 1 << len(pairs)), dtype=np.uint8)
+    comp[:, 0] = 1 << np.arange(n)
     for e, (i, j) in enumerate(pairs):
-        top = slice(1 << e, 2 << e)
-        adj[:, top] = adj[:, : 1 << e]
-        adj[i - 1, top] |= 1 << (j - 1)
-        adj[j - 1, top] |= 1 << (i - 1)
-    reach = np.ones(adj.shape[1], dtype=np.uint8)  # bit v-1 set iff vertex v reached
-    for _ in range(n - 1):
+        below, top = comp[:, : 1 << e], comp[:, 1 << e : 2 << e]
+        merged = below[i - 1] | below[j - 1]
         for v in range(n):
-            np.bitwise_or(reach, ((reach >> v) & 1) * adj[v], out=reach)
-    return np.flatnonzero(reach == (1 << n) - 1)
+            top[v] = np.where(merged >> v & 1, merged, below[v])
+    return comp
 
 
 def enumerate_labeled_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:

@@ -4,11 +4,10 @@ For a symmetric matrix V_ij over [n] and inverse temperature beta, the
 connected function phi_beta([n]) is evaluated by independent routes:
 
 1. `ursell_graph_sum`      — sum over connected graphs of prod (e^{-beta V_ij} - 1),
-                             grouped by their high edges: the edge bits split
-                             into a low and a high half, and the sum is
-                             sum_h P_high[h] sum_l C[h, l] P_low[l] over the
-                             edge products of each half and a cached 0/1
-                             connectivity table C;
+                             rooted at vertex 1: each graph h on {2..n} is
+                             summed explicitly, and vertex 1's edges into
+                             each component B of h in closed form, as
+                             expm1(-beta sum_{v in B} V_1v);
 2. `ursell_partition_sum`  — Mobius sum over set partitions, by the recursion
                              phi(S) = Z(S) - sum_T phi(T) Z(S minus T) on the
                              subset lattice, Z = e^{-beta U};
@@ -44,8 +43,9 @@ import numpy as np
 from .combinatorics import (
     MAX_GRAPH_N,
     SizeLimitError,
-    connected_edge_masks,
+    connected_edge_masks,  # noqa: F401  (unused; perfbench/shims.py patches it by this name)
     enumerate_labeled_trees,
+    graph_components,
     pair_order,
 )
 from .simplex import MAX_LEVELS, simplex_integral_from_diffs
@@ -70,10 +70,6 @@ DEFAULT_HARD_CORE_CUTOFF = 30.0
 MAX_PARTITION_SUM_N = 14
 # Routes 3 and 4 need n - 1 simplex levels.
 MAX_INTEGRAL_ROUTE_N = MAX_LEVELS + 1
-# Connectivity entries per block of the graph route: 1 MB of long-double
-# temporaries.  At n = 7, blocks of 2^15 to 2^17 are equally fast; 2^12 is
-# 50 % slower and 2^18 10 % slower.
-_GRAPH_BLOCK = 1 << 16
 
 
 class HardCoreCutoffError(ValueError):
@@ -205,16 +201,21 @@ def subset_energies(m: InteractionMatrix) -> np.ndarray:
 def ursell_graph_sum(m: InteractionMatrix, beta: float) -> float:
     """Exact sum over connected graphs on [n] of prod_edges (e^{-beta V} - 1).
 
-    The E = n(n-1)/2 edge bits split into L = floor(E/2) low bits and H = E - L
-    high bits, and the connected graphs are grouped by their high edges:
+    Rooted at vertex 1: a connected graph on [n] is a graph h on W = {2..n}
+    plus a non-empty set of edges from vertex 1 into each component B of h,
+    and those edge sets sum to prod_B (prod_{v in B} e^{-beta V_1v} - 1).  So
 
-        sum_h P_high[h] * sum_l connected[h, l] * P_low[l],
+        sum_h P[h] * prod_{B in comp(h)} w[B],   w[S] = expm1(-beta V_1(S)),
 
-    where P_low and P_high hold the edge products of every low and every high
-    edge subset (2^L + 2^H values) and `connected` is the cached table of
-    _graph_tables, summed a block of rows at a time.  This is the plain graph
-    sum, evaluated without materializing graphs; it shares nothing with the
-    partition route.
+    over the 2^((n-1)(n-2)/2) graphs h on W, with V_1(S) the star energy of
+    vertex 1 with S and P[h] the product of h's edge factors.  The product
+    over components comes from h's component partition (_graph_tables), and
+    P splits over the low and high halves of W's edge bits:
+
+        sum_hi P_high[hi] * sum_lo g[hi, lo] * P_low[lo].
+
+    Every h is still summed explicitly; only vertex 1's edges are summed in
+    closed form.  It shares nothing with the partition route.
 
     Accumulation runs in extended precision: the sum is cancellation-heavy
     (the result can sit many orders below the largest term), and the
@@ -225,39 +226,37 @@ def ursell_graph_sum(m: InteractionMatrix, beta: float) -> float:
         raise SizeLimitError(f"graph sum supports n <= {MAX_GRAPH_N}, got {n}")
     if n == 1:
         return 1.0
-    pairs, bits, connected = _graph_tables(n)
-    high, low = connected.shape
-    weights = np.expm1(-beta * m.effective_values().take(pairs), dtype=np.longdouble)
+    pairs, bits, members, classes, blocks = _graph_tables(n)
+    vals = m.effective_values()
+    w = np.expm1(-beta * (members @ vals[0, 1:]))
+    w[0] = 1  # pads the block rows
+    weights = np.expm1(-beta * vals.take(pairs), dtype=np.longdouble)
     products = np.where(bits, weights, 1).prod(axis=1)  # [r, s]: row r's weights over s
-    p_low, p_high = products[0, :low], products[1]
-    total = 0.0
-    rows = _GRAPH_BLOCK // low
-    for h in range(0, high, rows):
-        block = slice(h, h + rows)
-        total += p_high[block] @ np.where(connected[block], p_low, 0).sum(axis=1)
-    return float(total)
+    g = w[blocks].prod(axis=1)[classes].reshape(products.shape[1], -1)  # [high, low]
+    return float(products[1] @ (g @ products[0, : g.shape[1]]))
 
 
 @lru_cache(maxsize=None)
-def _graph_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Route-1 tables for the graphs on [n], E = n(n-1)/2 edge bits in pair_order.
+def _graph_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Route-1 tables for the graphs on W = {2..n}, E = (n-1)(n-2)/2 edge bits
+    in the pair_order of W.
 
     pairs[r, e, 0]  flat index into the n x n matrix of the pair of low bit e
                     (r = 0) or high bit e (r = 1); when E is odd, row 0 ends
                     with the diagonal, whose factor only enters low products
                     past 2^L, which are never read;
-    bits[e, s]      bit e of s, for the 2^H subsets s of H bits;
-    connected[h, l] True iff the graph with high bits h and low bits l is
-                    connected, shape (2^H, 2^L), from connected_edge_masks.
+    bits[e, s]      bit e of s, for the 2^H subsets s of H = E - floor(E/2) bits;
+    members[S, v]   1.0 iff vertex v + 2 is in the subset S of W, long double;
+    classes[h]      component-partition index of graph h, from graph_components;
+    blocks[c]       W-bitmasks of partition c's components, padded with 0.
     """
-    order = [(i - 1) * n + j - 1 for i, j in pair_order(n)]
+    order = [i * n + j for i, j in pair_order(n - 1)]  # vertex v of [n-1] is v + 1 of [n]
     low = len(order) // 2
     high = len(order) - low
-    pairs = np.array(order[:low] + [0] * (high - low) + order[low:]).reshape(2, high, 1)
+    pairs = np.array(order[:low] + [0] * (high - low) + order[low:], dtype=np.intp)
     bits = (np.arange(1 << high) >> np.arange(high)[:, None] & 1).astype(bool)
-    connected = np.zeros(1 << len(order), dtype=bool)
-    connected[connected_edge_masks(n)] = True
-    return pairs, bits, connected.reshape(-1, 1 << low)
+    members = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1).astype(np.longdouble)
+    return pairs.reshape(2, high, 1), bits, members, *graph_components(n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,17 @@
 
 Each oracle walks the combinatorial objects one by one in plain Python, so it
 shares no table or recursion with the package code it checks.  Energies sum
-the float matrix entries pair by pair.
+the float matrix entries pair by pair.  The connected-graph oracle takes its
+graphs from `connected_edge_masks` (checked against a BFS filter in
+test_combinatorics); the graph route it checks enumerates no graph on [n].
 """
 
 import itertools
 import math
+
+import mpmath
+
+from mayerbounds.combinatorics import connected_edge_masks, pair_order
 
 
 def set_partitions(n):
@@ -32,6 +38,25 @@ def block_energy(m, block):
     """U(X): the sum of V_ij over the unordered pairs inside X."""
     vals = m.effective_values()
     return sum(float(vals[i - 1, j - 1]) for i, j in itertools.combinations(sorted(block), 2))
+
+
+def connected_graph_sum_mp(m, beta):
+    """The definition of route 1: the sum over the connected graphs on [n] of
+    prod_edges (e^{-beta V} - 1), graph by graph at 40 digits."""
+    vals = m.effective_values()
+    with mpmath.workdps(40):
+        factors = [
+            mpmath.expm1(-mpmath.mpf(beta) * mpmath.mpf(float(vals[i - 1, j - 1])))
+            for i, j in pair_order(m.n)
+        ]
+        total = mpmath.mpf(0)
+        for mask in connected_edge_masks(m.n):
+            term = mpmath.mpf(1)
+            for e, factor in enumerate(factors):
+                if mask >> e & 1:
+                    term *= factor
+            total += term
+        return total
 
 
 def cross_energy(m, left, right):

@@ -12,6 +12,7 @@ from mayerbounds.combinatorics import (
     SizeLimitError,
     connected_edge_masks,
     enumerate_labeled_trees,
+    graph_components,
     pair_order,
 )
 from oracles import mobius_alternating_sum, set_partitions, stirling2_row
@@ -40,6 +41,23 @@ def is_connected_bfs(n, edges):
                 seen.add(w)
                 frontier.append(w)
     return len(seen) == n
+
+
+def union_find_components(n, edges):
+    """Independent component oracle (union-find), as a set of vertex sets."""
+    parent = list(range(n + 1))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    groups = {}
+    for v in range(1, n + 1):
+        groups.setdefault(find(v), set()).add(v)
+    return {frozenset(g) for g in groups.values()}
 
 
 class TestSetPartitionOracle:
@@ -152,6 +170,38 @@ class TestConnectedGraphs:
         for n in (0, 8):
             with pytest.raises(SizeLimitError):
                 connected_edge_masks(n)
+
+
+class TestGraphComponents:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_graph_against_union_find(self, n):
+        classes, blocks = graph_components(n)
+        assert len(classes) == 1 << len(pair_order(n))
+        partitions = {}
+        for g, c in enumerate(classes.tolist()):
+            got = {frozenset(v + 1 for v in range(n) if b >> v & 1) for b in blocks[c] if b}
+            assert got == union_find_components(n, mask_edges(n, g))
+            partitions.setdefault(frozenset(got), set()).add(c)
+        # one class per partition, and every partition of [n] occurs
+        assert all(len(c) == 1 for c in partitions.values())
+        assert len(blocks) == len(partitions) == bell_numbers(n)[-1]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_class_and_block_order(self, n):
+        classes, blocks = graph_components(n)
+        first = [classes.tolist().index(c) for c in range(len(blocks))]
+        assert first == sorted(first)  # numbered by first appearance
+        assert blocks[0].tolist() == [1 << v for v in range(n)]  # the empty graph
+        for row in blocks.tolist():
+            size = sum(1 for b in row if b)
+            assert not any(row[size:])  # zeros only pad the end
+            lowest = [b & -b for b in row[:size]]
+            assert lowest == sorted(lowest)
+
+    def test_size_guard(self):
+        for n in (0, 8):
+            with pytest.raises(SizeLimitError):
+                graph_components(n)
 
 
 class TestTrees:

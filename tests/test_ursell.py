@@ -10,7 +10,11 @@ exponential at 50 digits.
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -36,7 +40,16 @@ from mayerbounds.ursell import (
     ursell_partition_sum,
     ursell_tree_integral,
 )
-from oracles import block_energy, cross_energy, merge_histories, replay, set_partitions
+from oracles import (
+    block_energy,
+    connected_graph_sum_mp,
+    cross_energy,
+    merge_histories,
+    replay,
+    set_partitions,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def rel_diff(x, y):
@@ -299,8 +312,42 @@ class TestGraphRoute:
                 got = ursell_graph_sum(m, beta)
                 assert float(abs(got - expected) / abs(expected)) <= 1e-11
 
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_connected_graph_definition(self, n):
+        # the closed-form star factor of vertex 1 against the plain graph sum
+        matrices = [random_interaction_matrix(n, 31 * n + seed) for seed in range(3)]
+        zeros = random_interaction_matrix(n, n).values.copy()
+        zeros[0, -1] = zeros[-1, 0] = zeros[-2, -1] = zeros[-1, -2] = 0.0
+        matrices.append(InteractionMatrix(n, zeros))
+        hard = random_interaction_matrix(n, n + 1).values.copy()
+        hard[0, 1] = hard[1, 0] = hard[-2, -1] = hard[-1, -2] = np.inf
+        matrices.append(InteractionMatrix(n, hard).with_cutoff(30.0))
+        for m in matrices:
+            for beta in (0.0, 0.3, 1.0, 2.7, 8.0):
+                expected = connected_graph_sum_mp(m, beta)
+                got = ursell_graph_sum(m, beta)
+                assert float(abs(got - expected)) <= 1e-13 * float(abs(expected))
+
+    def test_cold_n7_memory(self):
+        # a fresh process, so the cached tables are built under the trace; a
+        # 2^21-entry connectivity table over the graphs on [7] peaks at 34 MB
+        code = (
+            "import tracemalloc\n"
+            "from mayerbounds.ursell import random_interaction_matrix, ursell_graph_sum\n"
+            "m = random_interaction_matrix(7, 0)\n"
+            "tracemalloc.start()\n"
+            "ursell_graph_sum(m, 1.0)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+        )
+        assert int(proc.stdout) < 8 * 2**20
+
     def test_warm_n7_memory(self):
-        # 2^21 edge subsets: a product per subset would hold 32 MB of long doubles
+        # 2^15 graphs on {2..7}: the component products g take 512 KB of long doubles
         m = random_interaction_matrix(7, 0)
         ursell_graph_sum(m, 1.0)  # builds the cached tables
         tracemalloc.start()
@@ -309,7 +356,7 @@ class TestGraphRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2**20
 
 
 class TestSimplexIntegral:
