@@ -343,6 +343,7 @@ class TestGraphRoute:
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+            timeout=120,
         )
         assert int(proc.stdout) < 8 * 2**20
 
