@@ -2,8 +2,9 @@
 """Sweep the multi-route Ursell identity over a seed range.
 
 Prints the worst pairwise relative difference per (n, beta) cell, split into
-the exact routes (graph vs partition sums) and, for n <= MAX_INTEGRAL_ROUTE_N,
-the closed-form simplex routes (tree integral, merge expansion).
+the exact routes (graph vs partition sums) and, where `identity_routes`
+returns them (n <= MAX_INTEGRAL_ROUTE_N), the closed-form simplex routes
+(tree integral, merge expansion).
 """
 
 from __future__ import annotations
@@ -11,15 +12,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from mayerbounds.ursell import (
-    MAX_INTEGRAL_ROUTE_N,
-    merge_sequence_expansion,
-    random_interaction_matrix,
-    rel_diff,
-    ursell_graph_sum,
-    ursell_partition_sum,
-    ursell_tree_integral,
-)
+from mayerbounds.ursell import identity_routes, random_interaction_matrix, rel_diff
 
 
 def main() -> int:
@@ -35,13 +28,12 @@ def main() -> int:
         n = 2 + seed % 6
         matrix = random_interaction_matrix(n, seed)
         for beta in args.betas:
-            g = ursell_graph_sum(matrix, beta)
-            p = ursell_partition_sum(matrix, beta)
+            routes = identity_routes(matrix, beta)
+            g = routes["graph_sum"]
             key = (n, beta)
-            worst_exact[key] = max(worst_exact.get(key, 0.0), rel_diff(g, p))
-            if n <= MAX_INTEGRAL_ROUTE_N:
-                t = ursell_tree_integral(matrix, beta)
-                m = merge_sequence_expansion(matrix, beta)
+            worst_exact[key] = max(worst_exact.get(key, 0.0), rel_diff(g, routes["partition_sum"]))
+            if "tree_integral" in routes:
+                t, m = routes["tree_integral"], routes["merge_expansion"]
                 d = max(rel_diff(t, g), rel_diff(m, g), rel_diff(t, m))
                 worst_simplex[key] = max(worst_simplex.get(key, 0.0), d)
 

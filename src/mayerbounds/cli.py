@@ -48,15 +48,7 @@ from .stability import (
     lj_stability_registry,
     mu_bound_function,
 )
-from .ursell import (
-    MAX_INTEGRAL_ROUTE_N,
-    merge_sequence_expansion,
-    random_interaction_matrix,
-    rel_diff,
-    ursell_graph_sum,
-    ursell_partition_sum,
-    ursell_tree_integral,
-)
+from .ursell import identity_routes, random_interaction_matrix, rel_diff
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -108,13 +100,7 @@ def _parse_interval(text: str) -> tuple[float, float]:
 
 def cmd_identity(args) -> int:
     matrix = random_interaction_matrix(args.n, args.seed)
-    routes = {
-        "graph_sum": ursell_graph_sum(matrix, args.beta),
-        "partition_sum": ursell_partition_sum(matrix, args.beta),
-    }
-    if args.n <= MAX_INTEGRAL_ROUTE_N:
-        routes["tree_integral"] = ursell_tree_integral(matrix, args.beta)
-        routes["merge_expansion"] = merge_sequence_expansion(matrix, args.beta)
+    routes = identity_routes(matrix, args.beta)
     overflowed = sorted(name for name, value in routes.items() if not math.isfinite(value))
     if overflowed:
         raise ArithmeticError(f"{', '.join(overflowed)} not finite at beta={args.beta:g}")

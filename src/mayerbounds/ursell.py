@@ -54,6 +54,7 @@ __all__ = [
     "DEFAULT_HARD_CORE_CUTOFF",
     "HardCoreCutoffError",
     "InteractionMatrix",
+    "identity_routes",
     "MAX_INTEGRAL_ROUTE_N",
     "merge_sequence_expansion",
     "merge_step_energies",
@@ -458,3 +459,21 @@ def merge_sequence_expansion(m: InteractionMatrix, beta: float) -> float:
     keep = products != 0.0
     integrals = simplex_integral_from_diffs(energies[keep], beta)
     return (-1.0) ** (m.n - 1) * float(products[keep] @ integrals)
+
+
+# ---------------------------------------------------------------------------
+# the identity check
+# ---------------------------------------------------------------------------
+
+def identity_routes(m: InteractionMatrix, beta: float) -> dict[str, float]:
+    """phi_beta([n]) by every route that applies at m.n, keyed as the
+    `identity` subcommand's JSON `routes`: the graph and partition sums, plus
+    the tree and merge routes when n <= MAX_INTEGRAL_ROUTE_N."""
+    routes = {
+        "graph_sum": ursell_graph_sum(m, beta),
+        "partition_sum": ursell_partition_sum(m, beta),
+    }
+    if m.n <= MAX_INTEGRAL_ROUTE_N:
+        routes["tree_integral"] = ursell_tree_integral(m, beta)
+        routes["merge_expansion"] = merge_sequence_expansion(m, beta)
+    return routes

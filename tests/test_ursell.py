@@ -31,6 +31,7 @@ from mayerbounds.ursell import (
     InteractionMatrix,
     MAX_INTEGRAL_ROUTE_N,
     MAX_PARTITION_SUM_N,
+    identity_routes,
     merge_sequence_expansion,
     merge_step_energies,
     random_interaction_matrix,
@@ -696,3 +697,11 @@ class TestFourRouteAgreement:
             g = ursell_graph_sum(m, beta)
             assert rel_diff(ursell_tree_integral(m, beta), g) < 1e-10
             assert rel_diff(merge_sequence_expansion(m, beta), g) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 5, MAX_INTEGRAL_ROUTE_N + 1])
+    def test_identity_routes(self, n):
+        m = random_interaction_matrix(n, 3)
+        expected = {"graph_sum": ursell_graph_sum, "partition_sum": ursell_partition_sum}
+        if n <= MAX_INTEGRAL_ROUTE_N:
+            expected |= {"tree_integral": ursell_tree_integral, "merge_expansion": merge_sequence_expansion}
+        assert identity_routes(m, 1.3) == {name: route(m, 1.3) for name, route in expected.items()}
