@@ -169,6 +169,9 @@ class TestGraphAndPartitionSums:
         m = InteractionMatrix(4, np.zeros((4, 4)))
         assert ursell_graph_sum(m, 1.0) == 0.0
         assert abs(ursell_partition_sum(m, 1.0)) < 1e-12
+        # every tree and merge-history product is 0, so no simplex rows remain
+        assert ursell_tree_integral(m, 1.0) == 0.0
+        assert merge_sequence_expansion(m, 1.0) == 0.0
 
     def test_beta_zero(self):
         for n in (2, 3, 5, 7):
@@ -361,6 +364,23 @@ class TestGraphRoute:
         assert peak < 2**20
 
 
+def mpmath_rel_err(value, diffs, beta):
+    """Relative error of a simplex integral against entry (0, m) of exp(J) at
+    50 digits, J bidiagonal with the nodes -beta * c_k on its diagonal and
+    ones above it."""
+    with mpmath.workdps(50):
+        nodes = [mpmath.mpf(0)]
+        running = mpmath.mpf(0)
+        for d in diffs:
+            running += mpmath.mpf(float(d))
+            nodes.append(-mpmath.mpf(beta) * running)
+        jordan = mpmath.diag(nodes)
+        for k in range(len(diffs)):
+            jordan[k, k + 1] = 1
+        expected = mpmath.expm(jordan)[0, len(diffs)] * mpmath.mpf(beta) ** len(diffs)
+        return float(abs((mpmath.mpf(value) - expected) / expected))
+
+
 class TestSimplexIntegral:
     def test_zero_coefficients_give_simplex_volume(self):
         for m_levels in (1, 2, 3, 4):
@@ -411,8 +431,6 @@ class TestSimplexIntegral:
 
     @pytest.mark.parametrize("m_levels", range(1, MAX_LEVELS + 1))
     def test_against_mpmath_expm(self, m_levels):
-        # reference: entry (0, m) of exp(J) at 50 digits, J bidiagonal with the
-        # nodes -beta * c_k on its diagonal and ones above it
         rng = np.random.default_rng(100 + m_levels)
         cases = []
         for spread in (1.0, 30.0, 1000.0):
@@ -425,24 +443,37 @@ class TestSimplexIntegral:
         cases.append((-3.0 + 1e-9 * np.arange(m_levels), 2.0))
         for levels, beta in cases:
             diffs = np.diff(levels, prepend=0.0)
-            value = simplex_integral_from_diffs(diffs, beta)
-            with mpmath.workdps(50):
-                nodes = [mpmath.mpf(0)]
-                running = mpmath.mpf(0)
-                for d in diffs:
-                    running += mpmath.mpf(float(d))
-                    nodes.append(-mpmath.mpf(beta) * running)
-                jordan = mpmath.diag(nodes)
-                for k in range(m_levels):
-                    jordan[k, k + 1] = 1
-                expected = mpmath.expm(jordan)[0, m_levels] * mpmath.mpf(beta) ** m_levels
-                err = abs((mpmath.mpf(value) - expected) / expected)
-            assert err <= 1e-13, (levels, beta, float(err))
+            err = mpmath_rel_err(simplex_integral_from_diffs(diffs, beta), diffs, beta)
+            assert err <= 1e-13, (levels, beta, err)
 
-    def test_batched_equals_row_by_row(self):
+    @pytest.mark.parametrize("m_levels", range(1, MAX_LEVELS + 1))
+    def test_against_mpmath_at_the_scaling_boundary(self, m_levels):
+        # lowest node -(2^k - 1) below the top node 0: the kernel squares k
+        # times, and the scaled matrix has 1-norm exactly 1; the levels are
+        # quarter-integers, so their differences and sums are exact
+        rng = np.random.default_rng(200 + m_levels)
+        for k in range(11):
+            low = 2.0**k - 1.0
+            levels = rng.integers(0, 4 * low + 1, m_levels) / 4.0
+            levels[rng.integers(m_levels)] = low
+            diffs = np.diff(levels, prepend=0.0)
+            err = mpmath_rel_err(simplex_integral_from_diffs(diffs, 1.0), diffs, 1.0)
+            assert err <= 1e-13, (levels, err)
+
+    @pytest.mark.parametrize("case", ["mixed", "equal_squarings", "zero_and_large"])
+    def test_batched_equals_row_by_row(self, case):
+        # 7500 rows cross the kernel's chunk boundaries
         rng = np.random.default_rng(5)
-        diffs = rng.uniform(-20.0, 20.0, size=(3, 2500, 4))
-        diffs[0, :10] = 0.0
+        if case == "mixed":
+            diffs = rng.uniform(-20.0, 20.0, size=(3, 2500, 4))
+            diffs[0, :10] = 0.0
+        elif case == "equal_squarings":
+            # levels in [2, 4] at beta = 1.7: every row squares 3 times
+            diffs = np.diff(rng.uniform(2.0, 4.0, size=(3, 2500, 4)), axis=-1, prepend=0.0)
+        else:
+            # rows of zeros square 0 times, the others up to 11 times
+            diffs = rng.uniform(-5.0, 300.0, size=(3, 2500, 4))
+            diffs[rng.uniform(size=(3, 2500)) < 0.5] = 0.0
         batched = simplex_integral_from_diffs(diffs, 1.7)
         assert batched.shape == (3, 2500)
         rows = [simplex_integral_from_diffs(row, 1.7) for row in diffs.reshape(-1, 4)]
@@ -451,6 +482,10 @@ class TestSimplexIntegral:
 
     def test_beta_zero(self):
         assert simplex_integral_from_diffs((1.0, 1.0), 0.0) == 0.0
+
+    def test_empty_batch(self):
+        assert simplex_integral_from_diffs(np.zeros((0, 3)), 1.0).shape == (0,)
+        assert simplex_integral_from_diffs(np.zeros((2, 0, 3)), 1.0).shape == (2, 0)
 
     def test_overflow_raises(self):
         # largest node beta * 400 = 800 > log(max double)
@@ -703,5 +738,6 @@ class TestFourRouteAgreement:
         m = random_interaction_matrix(n, 3)
         expected = {"graph_sum": ursell_graph_sum, "partition_sum": ursell_partition_sum}
         if n <= MAX_INTEGRAL_ROUTE_N:
-            expected |= {"tree_integral": ursell_tree_integral, "merge_expansion": merge_sequence_expansion}
+            expected["tree_integral"] = ursell_tree_integral
+            expected["merge_expansion"] = merge_sequence_expansion
         assert identity_routes(m, 1.3) == {name: route(m, 1.3) for name, route in expected.items()}
