@@ -18,7 +18,6 @@ The package has two halves that meet in the CLI:
 from .combinatorics import SizeLimitError, enumerate_labeled_trees
 from .ursell import (
     InteractionMatrix,
-    identity_routes,
     merge_sequence_expansion,
     subset_energies,
     ursell_graph_sum,

@@ -108,14 +108,14 @@ def _exp_corner(nodes: np.ndarray) -> np.ndarray:
         np.matmul(p[:, 2], a, out=p[:, 3])
         np.matmul(p[:, 2], p[:, 2], out=a4[:k])
         # b[:, j] = sum_i c_{4j+i} A^i, then Horner in A^4 down to b[:, 0]
-        flat_b = b.reshape(k, len(_PS_COEFFS), -1, copy=False)
+        flat_b = b.reshape(k, len(_PS_COEFFS), -1)
         np.matmul(_PS_COEFFS, p.reshape(k, _PS_BLOCK, -1), out=flat_b)
         for j in range(len(_PS_COEFFS) - 2, -1, -1):
             b[:, j] += np.matmul(a4[:k], b[:, j + 1], out=spare[:k])
         e, free = b[:, 0], spare[:k]
         for step in range(squarings.max()):
             live = squarings > step
-            if live.all():
+            if live.all():  # most steps: square in place, without gather and scatter
                 e, free = np.matmul(e, e, out=free), e
             else:
                 idx = np.nonzero(live)[0]
@@ -134,4 +134,4 @@ def _rowwise(op, nodes: np.ndarray) -> np.ndarray:
 def _flat(a: np.ndarray) -> np.ndarray:
     """View of a (rows, size, size) stack as (rows, size * size): from offset 0
     (1), step size + 1 walks each matrix's (super)diagonal."""
-    return a.reshape(len(a), -1, copy=False)
+    return a.reshape(len(a), -1)
