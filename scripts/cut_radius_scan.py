@@ -10,8 +10,9 @@ certifying larger cuts.
 from __future__ import annotations
 
 import argparse
+import math
 
-from mayerbounds.bounds import basuev_c_hat, bound_pieces
+from mayerbounds.bounds import bound_pieces
 from mayerbounds.potentials import LennardJones
 from mayerbounds.stability import criterion_holds, mu_upper_yuhjtman
 
@@ -37,9 +38,10 @@ def main() -> int:
         print(f"{a:>7.4f} {pieces.pieces['c_star_inner']:>12.5g} "
               f"{pieces.pieces['outer_abs']:>12.5g} {pieces.c_star:>12.5g} {certified:>10}")
 
-    total, radius = basuev_c_hat(lj, 0.6397, args.beta, 0.0)
+    # at B = B-bar = 0 the C^ radius is e^-1 / C^
+    total = bound_pieces(lj, 0.6397, args.beta, 0.0).c_hat
     print(f"\nat the published optimum a=0.6397: C^({args.beta:g},0) = {total:.4f}, "
-          f"radius factor 1/(e*C^) = {radius:.6g}")
+          f"radius factor 1/(e*C^) = {math.exp(-1.0) / total:.6g}")
     return 0
 
 

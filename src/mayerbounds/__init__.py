@@ -31,10 +31,6 @@ from .potentials import (
     LJTypeEnvelope,
     PairPotential,
     TabulatedPotential,
-    hard_core_wrap,
-    lennard_jones,
-    lj_type_check,
-    negative_part,
     potential_from_config,
     split,
 )
@@ -50,18 +46,12 @@ from .stability import (
 from .bounds import (
     BoundPieces,
     BoundReport,
-    QuadratureSpec,
-    basuev_c_hat,
-    basuev_c_star,
-    basuev_radius,
     bound_pieces,
     compare_report,
     h_factor,
     hard_core_bounds,
-    mps_bound,
     penrose_ruelle,
-    radial_integral,
-    stable_ratio,
 )
+from .quadrature import QuadratureSpec, radial_integral, stable_ratio
 
 __all__ = [name for name in dir() if not name.startswith("_")]

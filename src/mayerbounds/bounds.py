@@ -16,7 +16,7 @@ radius a, four certified disk radii are assembled:
   reduces to C* at B-bar = 0.
 
 C~, C* and C^ differ only in the inner factor on |x| <= a.  One pipeline,
-`bound_pieces`, checks the cut and computes every piece once; each bound,
+`bound_pieces`, checks the cut and computes every piece once;
 `compare_report` and `reproduce` read it.
 
 All integrals are adaptive radial quadratures with closed-form power-law
@@ -43,11 +43,8 @@ import numpy as np
 from .potentials import PairPotential, split
 from .quadrature import (
     DEFAULT_SPEC,
-    QuadratureConvergenceError,
     QuadratureSpec,
-    TemperednessError,
     edge_ladder,
-    radial_integral,
     radial_integral_err,
     sphere_volume,
     stable_ratio,
@@ -55,20 +52,11 @@ from .quadrature import (
 from .stability import StabilityData
 
 __all__ = [
-    "QuadratureSpec",
-    "QuadratureConvergenceError",
-    "TemperednessError",
     "BoundPieces",
     "BoundReport",
     "bound_pieces",
-    "stable_ratio",
     "offset_stable_ratio",
-    "radial_integral",
     "penrose_ruelle",
-    "mps_bound",
-    "basuev_c_star",
-    "basuev_c_hat",
-    "basuev_radius",
     "h_factor",
     "hard_core_bounds",
     "compare_report",
@@ -254,7 +242,7 @@ def bound_pieces(
 
 
 # ---------------------------------------------------------------------------
-# the four bounds
+# Penrose-Ruelle and the hard-core bounds
 # ---------------------------------------------------------------------------
 
 def penrose_ruelle(
@@ -272,62 +260,6 @@ def penrose_ruelle(
     """
     value, _ = _penrose_ruelle_integral(potential, beta, spec or DEFAULT_SPEC)
     return value, _radius(_star_terms(value, beta, 2.0 * b))
-
-
-def mps_bound(
-    potential: PairPotential,
-    a: float,
-    beta: float,
-    b: float,
-    spec: QuadratureSpec | None = None,
-) -> tuple[float, float]:
-    """(C~(beta), radius): the short-range/integrable-split bound at cut a."""
-    value = bound_pieces(potential, a, beta, 0.0, spec).c_tilde
-    return value, _radius(_star_terms(value, beta, b))
-
-
-def basuev_c_star(
-    potential: PairPotential,
-    a: float,
-    beta: float,
-    b: float,
-    spec: QuadratureSpec | None = None,
-) -> tuple[float, float]:
-    """(C*(beta), radius): the first tree-graph bound at cut a."""
-    value = bound_pieces(potential, a, beta, 0.0, spec).c_star
-    return value, _radius(_star_terms(value, beta, b))
-
-
-def basuev_c_hat(
-    potential: PairPotential,
-    a: float,
-    beta: float,
-    bbar: float,
-    spec: QuadratureSpec | None = None,
-) -> tuple[float, float]:
-    """(C^(beta, B-bar), radius): the damped tree-graph bound at cut a.
-
-    At bbar = 0 the integrand and the radius reduce continuously to the
-    basuev_c_star forms.
-    """
-    value = bound_pieces(potential, a, beta, bbar, spec).c_hat
-    return value, _radius(_hat_terms(value, beta, bbar))
-
-
-def basuev_radius(
-    potential: PairPotential,
-    a: float,
-    beta: float,
-    b: float,
-    bbar: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
-    """max of the two Basuev radius pieces (the certified disk radius)."""
-    pieces = bound_pieces(potential, a, beta, bbar, spec)
-    return max(
-        _radius(_star_terms(pieces.c_star, beta, b)),
-        _radius(_hat_terms(pieces.c_hat, beta, bbar)),
-    )
 
 
 def hard_core_bounds(

@@ -151,12 +151,12 @@ def cmd_identity(args) -> int:
 def cmd_criterion(args) -> int:
     potential = args.potential
     lo, hi = args.interval
+    bound_at = mu_bound_function(args.method, potential, mu_value=args.mu_value)
     try:
         best = find_max_a(
             potential, args.method, (lo, hi), tol=args.tol, mu_value=args.mu_value
         )
     except NoValidCutError as exc:
-        bound_at = mu_bound_function(args.method, potential, mu_value=args.mu_value)
         mu_lo = bound_at(lo)
         message = (
             f"no certified cut radius: {exc}\n"
@@ -165,7 +165,6 @@ def cmd_criterion(args) -> int:
         )
         _emit(message, args.out)
         return EXIT_CHECK_FAILED
-    bound_at = mu_bound_function(args.method, potential, mu_value=args.mu_value)
     mu = bound_at(best)
     payload = {
         "potential": potential.config(),

@@ -17,7 +17,7 @@ All evaluators accept numpy arrays and are safe to share across threads
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -30,12 +30,7 @@ __all__ = [
     "HardCoreWrap",
     "TabulatedPotential",
     "LJTypeEnvelope",
-    "LJTypeCheckReport",
-    "lennard_jones",
-    "negative_part",
     "split",
-    "lj_type_check",
-    "hard_core_wrap",
     "potential_from_config",
 ]
 
@@ -116,7 +111,15 @@ class LennardJones(PairPotential):
 
     @staticmethod
     def default_envelope() -> "LJTypeEnvelope":
-        """An envelope verified to hold for the classical potential."""
+        """An envelope that holds for the classical potential, in closed form.
+
+        Both envelope powers are r^-6 (d + decay_surplus = 6):
+            core:  V - 0.5 r^-6 = r^-6 (r^-6 - 2.5) >= 0 for r <= 2.5^(-1/6)
+                   ~ 0.858, which is past r1 = 0.8;
+            well:  V + 1 = (r^-6 - 1)^2 >= 0, so V >= -1 everywhere, and
+                   floor(r1, r2) = V(1) = -1 = -well_depth;
+            tail:  V + 2 r^-6 = r^-12 > 0 for every r.
+        """
         return LJTypeEnvelope(
             c_repulsion=0.5,
             c_attraction=2.0,
@@ -126,11 +129,6 @@ class LennardJones(PairPotential):
             decay_surplus=3.0,
             d=3,
         )
-
-
-def lennard_jones(r):
-    """Value of the classical rescaled Lennard-Jones potential at radius r."""
-    return LennardJones()(r)
 
 
 @dataclass(frozen=True)
@@ -242,12 +240,6 @@ class TabulatedPotential(PairPotential):
         return {"kind": "tabulated", "knots": [list(k) for k in self.knots], "d": self.d}
 
 
-def negative_part(potential: PairPotential, r):
-    """V^-(r) = max(0, -V(r)) = (|V| - V)/2, the attractive magnitude."""
-    value = potential(r)
-    return np.maximum(0.0, -np.asarray(value)) if not np.isscalar(value) else max(0.0, -value)
-
-
 def split(potential: PairPotential, a: float) -> float:
     """V(a), after checking that V(r) >= V(a) > 0 on (0, a]."""
     if a <= 0:
@@ -262,11 +254,6 @@ def split(potential: PairPotential, a: float) -> float:
             f"the cut precondition fails at a = {a}"
         )
     return value_at_cut
-
-
-def hard_core_wrap(potential: PairPotential, a: float, height: float) -> HardCoreWrap:
-    """Replace the potential by a finite hard-core height on (0, a]."""
-    return HardCoreWrap(tail=potential, core_radius=a, height=height)
 
 
 @dataclass(frozen=True)
@@ -316,47 +303,6 @@ class LJTypeEnvelope:
         """Monotone integrable majorant of V^-: w-bar inside r2, eta beyond."""
         arr = np.asarray(r, dtype=float)
         return np.where(arr <= self.r2, self.majorant_well(), self.attractive_envelope(arr))
-
-
-@dataclass(frozen=True)
-class LJTypeCheckReport:
-    passed: bool
-    first_failure: tuple[str, float, float, float] | None  # region, r, V(r), bound
-    points_checked: int
-
-
-def lj_type_check(
-    potential: PairPotential,
-    envelope: LJTypeEnvelope,
-    grid: Sequence[float] | None = None,
-) -> LJTypeCheckReport:
-    """Check the three envelope inequalities on a radius grid.
-
-    The default grid covers (0, r1], [r1, r2], and [r2, 50] with geometric
-    spacing inside r1 and beyond r2.
-    """
-    if grid is None:
-        grid = np.concatenate(
-            [
-                np.geomspace(envelope.r1 * 1e-3, envelope.r1, 1500),
-                np.linspace(envelope.r1, envelope.r2, 500),
-                np.geomspace(envelope.r2, 50.0, 1500),
-            ]
-        )
-    grid = np.asarray(grid, dtype=float)
-    values = potential(grid)
-    bounds = np.where(
-        grid <= envelope.r1,
-        envelope.repulsive_floor(grid),
-        np.where(grid <= envelope.r2, -envelope.well_depth, -envelope.attractive_envelope(grid)),
-    )
-    bad = values < bounds
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        r = float(grid[i])
-        region = "core" if r <= envelope.r1 else ("well" if r <= envelope.r2 else "tail")
-        return LJTypeCheckReport(False, (region, r, float(values[i]), float(bounds[i])), grid.size)
-    return LJTypeCheckReport(True, None, grid.size)
 
 
 def potential_from_config(config: Mapping) -> PairPotential:

@@ -187,21 +187,18 @@ def mu_bound_function(
     method: str,
     potential: PairPotential,
     *,
-    envelope: LJTypeEnvelope | None = None,
     mu_value: float | None = None,
     spec: QuadratureSpec | None = None,
 ) -> Callable[[float], MuBound]:
     """Resolve a mu-bound method name to a callable a -> MuBound."""
     if method == "cube":
-        env = envelope
-        if env is None:
-            if potential.kind != "lennard-jones":
-                raise MethodMismatchError(
-                    "cube-packing bound needs an explicit envelope for "
-                    f"potential kind {potential.kind!r}"
-                )
-            env = LennardJones.default_envelope()
-        return lambda a: mu_upper_cube(env, a, spec)
+        if potential.kind != "lennard-jones":
+            raise MethodMismatchError(
+                "the cube method uses the Lennard-Jones envelope; for potential kind "
+                f"{potential.kind!r} call mu_upper_cube(envelope, a) with its own envelope"
+            )
+        envelope = LennardJones.default_envelope()
+        return lambda a: mu_upper_cube(envelope, a, spec)
     if method == "yuhjtman":
         return lambda a: mu_upper_yuhjtman(a, potential)
     if method == "user":
@@ -217,7 +214,6 @@ def find_max_a(
     interval: tuple[float, float],
     tol: float = 1e-6,
     *,
-    envelope: LJTypeEnvelope | None = None,
     mu_value: float | None = None,
     spec: QuadratureSpec | None = None,
 ) -> float:
@@ -229,9 +225,7 @@ def find_max_a(
     a_lo, a_hi = interval
     if not 0 < a_lo < a_hi:
         raise ValueError(f"invalid interval [{a_lo}, {a_hi}]")
-    bound_at = mu_bound_function(
-        mu_method, potential, envelope=envelope, mu_value=mu_value, spec=spec
-    )
+    bound_at = mu_bound_function(mu_method, potential, mu_value=mu_value, spec=spec)
     if not criterion_holds(potential, a_lo, bound_at(a_lo)):
         raise NoValidCutError(
             f"criterion V(a) > 2*mu(a) already fails at the interval start a = {a_lo}"

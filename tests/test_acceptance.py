@@ -20,7 +20,7 @@ from mayerbounds.bounds import (
 )
 from mayerbounds.cli import main
 from mayerbounds.combinatorics import connected_edge_masks, enumerate_labeled_trees, pair_order
-from mayerbounds.potentials import LennardJones, lennard_jones
+from mayerbounds.potentials import LennardJones
 from mayerbounds.quadrature import DEFAULT_SPEC, sphere_volume
 from mayerbounds.reference import reproduction_rows
 from mayerbounds.stability import find_max_a, lj_stability_registry
@@ -103,7 +103,7 @@ def test_criterion_2_integer_identities():
 def test_criterion_3_section_5_2_reproduction():
     with criterion(3, "cut a=0.3637 reproduction at beta=1"):
         beta, a = 1.0, 0.3637
-        va_mass = beta * lennard_jones(a) * sphere_volume(a, 3)
+        va_mass = beta * LennardJones()(a) * sphere_volume(a, 3)
         assert rel_diff(va_mass, 37444.0) < 5e-3
         pieces = bound_pieces(LJ, a, beta, 0.0)
         assert pieces.pieces["mps_va_mass"] == va_mass
@@ -204,7 +204,7 @@ def test_criterion_7_numerical_robustness():
         for a in (0.3637, 0.6397):
             r = np.geomspace(1e-3, a, 400)
             v = LJ(r)
-            arg = 1.0 * (v - lennard_jones(a))
+            arg = 1.0 * (v - LennardJones()(a))
             star_integrand = np.abs(v) * stable_ratio(arg)
             hat_integrand = np.abs(v) * offset_stable_ratio(arg, 1.0 * 14.33)
             assert np.all(np.isfinite(star_integrand))

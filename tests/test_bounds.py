@@ -23,32 +23,28 @@ from scipy import integrate
 from mayerbounds import bounds
 from mayerbounds.bounds import (
     BoundReport,
-    basuev_c_hat,
-    basuev_c_star,
-    basuev_radius,
     bound_pieces,
     compare_report,
     h_factor,
     hard_core_bounds,
-    mps_bound,
     offset_stable_ratio,
     penrose_ruelle,
-    stable_ratio,
 )
 from mayerbounds.potentials import (
+    HardCoreWrap,
     InversePower,
     NotBasuevAtCutError,
     LennardJones,
     TabulatedPotential,
-    hard_core_wrap,
-    lennard_jones,
 )
-from mayerbounds.quadrature import QuadratureSpec, sphere_volume
-from mayerbounds.stability import lj_stability_registry
+from mayerbounds.quadrature import QuadratureSpec, sphere_volume, stable_ratio
+from mayerbounds.stability import StabilityData, lj_stability_registry
 
 LJ = LennardJones()
 ZERO_POTENTIAL = TabulatedPotential(knots=((1.0, 0.0),))
 REGISTRY = lj_stability_registry()
+# B = B-bar = 0: every radius is e^-1 over its integral
+NO_STABILITY = StabilityData(0.0, 0.0, 1.0, {})
 
 
 class TestOffsetStableRatio:
@@ -121,14 +117,14 @@ class TestHFactor:
 class TestPenroseRuelle:
     def test_pure_hard_core_gives_ball_volume(self):
         # e^{-beta H} underflows to exactly 0 for H = 1e6
-        hc = hard_core_wrap(InversePower(0.0, 6.0), 0.9, 1e6)
+        hc = HardCoreWrap(InversePower(0.0, 6.0), 0.9, 1e6)
         c_value, _ = penrose_ruelle(hc, 1.0, 0.0)
         assert math.isclose(c_value, sphere_volume(0.9, 3), rel_tol=1e-10)
 
     def test_radius_formula_normalization(self):
         # a core radius chosen so C = W_a = 1 turns the radius into 1/e at B=0
         a = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
-        hc = hard_core_wrap(InversePower(0.0, 6.0), a, 1e6)
+        hc = HardCoreWrap(InversePower(0.0, 6.0), a, 1e6)
         c_value, radius = penrose_ruelle(hc, 1.0, 0.0)
         assert math.isclose(c_value, 1.0, rel_tol=1e-10)
         assert math.isclose(radius, 1.0 / math.e, rel_tol=1e-9)
@@ -148,88 +144,78 @@ class TestPenroseRuelle:
 
 class TestMpsBound:
     def test_published_pieces_at_0_3637(self):
-        c_value, _ = mps_bound(LJ, 0.3637, 1.0, REGISTRY.b_upper)
-        va_mass = lennard_jones(0.3637) * sphere_volume(0.3637, 3)
+        c_value = bound_pieces(LJ, 0.3637, 1.0, 0.0).c_tilde
+        va_mass = LJ(0.3637) * sphere_volume(0.3637, 3)
         assert math.isclose(va_mass, 37444.0, rel_tol=5e-3)
         assert c_value > va_mass + 12381.0
         assert math.isclose(c_value, 49825.0, rel_tol=5e-3)
 
     def test_zero_potential_sentinel(self):
-        c_value, radius = mps_bound(ZERO_POTENTIAL, 0.5, 1.0, 0.0)
-        assert c_value == 0.0
-        assert radius == math.inf
+        report = compare_report(ZERO_POTENTIAL, 1.0, 0.5, NO_STABILITY)
+        assert report.c_tilde == 0.0
+        assert report.r_mps == math.inf
 
 
 class TestBasuevBounds:
     def test_c_star_less_than_mps(self):
-        c_star, r_star = basuev_c_star(LJ, 0.3637, 1.0, REGISTRY.b_upper)
-        c_tilde, r_mps = mps_bound(LJ, 0.3637, 1.0, REGISTRY.b_upper)
-        assert c_star < c_tilde
-        assert r_star > r_mps
+        report = compare_report(LJ, 1.0, 0.3637, REGISTRY)
+        assert report.c_star < report.c_tilde
+        assert report.r_star > report.r_mps
 
     def test_chat_at_zero_bbar_equals_c_star(self):
-        c_star, _ = basuev_c_star(LJ, 0.3637, 1.0, REGISTRY.b_upper)
-        c_hat, _ = basuev_c_hat(LJ, 0.3637, 1.0, 0.0)
-        assert math.isclose(c_star, c_hat, rel_tol=1e-12)
+        pieces = bound_pieces(LJ, 0.3637, 1.0, 0.0)
+        assert math.isclose(pieces.c_star, pieces.c_hat, rel_tol=1e-12)
 
     def test_published_chat_values(self):
-        c_hat_small, _ = basuev_c_hat(LJ, 0.3637, 1.0, 0.0)
+        c_hat_small = bound_pieces(LJ, 0.3637, 1.0, 0.0).c_hat
         assert math.isclose(c_hat_small, 12382.0, rel_tol=5e-3)
-        c_hat_opt, _ = basuev_c_hat(LJ, 0.6397, 1.0, 0.0)
+        c_hat_opt = bound_pieces(LJ, 0.6397, 1.0, 0.0).c_hat
         assert math.isclose(c_hat_opt, 64.13, rel_tol=5e-3)
 
     def test_chat_below_c_star_for_positive_bbar(self):
-        c_star, _ = basuev_c_star(LJ, 0.5, 1.0, REGISTRY.b_upper)
+        c_star = bound_pieces(LJ, 0.5, 1.0, 0.0).c_star
         for bbar in (1.0, 8.61, 20.0):
-            c_hat, _ = basuev_c_hat(LJ, 0.5, 1.0, bbar)
-            assert c_hat <= c_star
+            assert bound_pieces(LJ, 0.5, 1.0, bbar).c_hat <= c_star
 
     def test_radius_picks_second_piece_for_lj(self):
-        b = 8.61
-        bbar = 1.001 * b
-        _, r_star = basuev_c_star(LJ, 0.6397, 1.0, b)
-        _, r_hat = basuev_c_hat(LJ, 0.6397, 1.0, bbar)
-        assert r_hat > r_star
-        assert basuev_radius(LJ, 0.6397, 1.0, b, bbar) == r_hat
+        report = compare_report(LJ, 1.0, 0.6397, StabilityData(8.61, 8.61, 1.001, {}))
+        assert report.r_hat > report.r_star
 
     def test_zero_potential_sentinel(self):
-        assert basuev_radius(ZERO_POTENTIAL, 0.5, 1.0, 1.0, 1.0) == math.inf
+        report = compare_report(ZERO_POTENTIAL, 1.0, 0.5, StabilityData(1.0, 1.0, 1.0, {}))
+        assert report.r_star == report.r_hat == math.inf
 
     def test_vanishing_constants_limit(self):
-        # at B = B-bar = 0 both pieces reduce to e^-1 / C* and the max is a tie
-        _, r_star = basuev_c_star(LJ, 0.5, 1.0, 0.0)
-        _, r_hat = basuev_c_hat(LJ, 0.5, 1.0, 0.0)
-        assert math.isclose(r_star, r_hat, rel_tol=1e-12)
-        assert math.isclose(
-            basuev_radius(LJ, 0.5, 1.0, 0.0, 0.0), r_hat, rel_tol=1e-12
-        )
+        # at B = B-bar = 0 both radii reduce to e^-1 / C*
+        report = compare_report(LJ, 1.0, 0.5, NO_STABILITY)
+        assert math.isclose(report.r_star, report.r_hat, rel_tol=1e-12)
 
     def test_negative_bbar_rejected(self):
         with pytest.raises(ValueError):
-            basuev_c_hat(LJ, 0.5, 1.0, -1.0)
+            bound_pieces(LJ, 0.5, 1.0, -1.0)
 
 
 class TestHardCoreBounds:
     def test_zero_tail_core_term(self):
-        hc = hard_core_wrap(InversePower(0.0, 6.0), 1.0, 1e6)
+        hc = HardCoreWrap(InversePower(0.0, 6.0), 1.0, 1e6)
         c_star_hc, c_hat_hc = hard_core_bounds(hc, 1.0, 1.0, 0.0)
         assert math.isclose(c_star_hc, 4 * math.pi / 3, rel_tol=1e-12)
         assert c_hat_hc == c_star_hc  # damping factor is 1 at bbar = 0
 
     def test_unit_damping(self):
-        hc = hard_core_wrap(InversePower(0.0, 6.0), 1.0, 1e6)
+        hc = HardCoreWrap(InversePower(0.0, 6.0), 1.0, 1e6)
         _, c_hat_hc = hard_core_bounds(hc, 1.0, 1.0, 1.0)
         assert math.isclose(c_hat_hc, (4 * math.pi / 3) / (math.e - 1.0), rel_tol=1e-12)
 
     def test_lj_tail_added(self):
-        hc = hard_core_wrap(LennardJones(), 1.0, 1e6)
+        hc = HardCoreWrap(LennardJones(), 1.0, 1e6)
         c_star_hc, c_hat_hc = hard_core_bounds(hc, 1.0, 1.0, 5.0)
         tail = 4 * math.pi * (2.0 / 3.0 - 1.0 / 9.0)  # 4pi int_1^inf |r^-10-2r^-4|
         assert math.isclose(c_star_hc, 4 * math.pi / 3 + tail, rel_tol=1e-8)
         assert c_hat_hc < c_star_hc
 
     def test_validation(self):
-        hc = hard_core_wrap(InversePower(0.0, 6.0), 1.0, 1e6)
+        hc = HardCoreWrap(InversePower(0.0, 6.0), 1.0, 1e6)
         with pytest.raises(ValueError):
             hard_core_bounds(hc, 0.5, 1.0, 0.0)
         with pytest.raises(ValueError):
@@ -294,12 +280,7 @@ class TestBoundPieces:
         assert dict(pieces.error_estimates, c_pr=report.error_estimates["c_pr"]) == (
             report.error_estimates
         )
-        b, bbar = REGISTRY.b_upper, REGISTRY.bbar_upper
-        assert mps_bound(LJ, 0.6397, 1.0, b) == (report.c_tilde, report.r_mps)
-        assert basuev_c_star(LJ, 0.6397, 1.0, b) == (report.c_star, report.r_star)
-        assert basuev_c_hat(LJ, 0.6397, 1.0, bbar) == (report.c_hat, report.r_hat)
-        assert basuev_radius(LJ, 0.6397, 1.0, b, bbar) == max(report.r_star, report.r_hat)
-        assert penrose_ruelle(LJ, 1.0, b) == (report.c_pr, report.r_pr)
+        assert penrose_ruelle(LJ, 1.0, REGISTRY.b_upper) == (report.c_pr, report.r_pr)
 
     def test_penrose_ruelle_overflow_raises(self):
         # e^{720} overflows in the well of V; compare_report raises the same way
@@ -320,11 +301,7 @@ class TestBoundPieces:
         assert set(pieces.pieces.values()) == {0.0}
         assert pieces.c_tilde == pieces.c_star == pieces.c_hat == 0.0
 
-    @pytest.mark.parametrize("call", [
-        lambda: compare_report(LJ, 1.0, 0.6397, REGISTRY),
-        lambda: basuev_radius(LJ, 0.6397, 1.0, REGISTRY.b_upper, REGISTRY.bbar_upper),
-    ])
-    def test_one_split_and_one_zero_probe(self, call, monkeypatch):
+    def test_one_split_and_one_zero_probe(self, monkeypatch):
         calls = {"split": 0, "_is_zero_potential": 0}
 
         def counted(name):
@@ -338,7 +315,7 @@ class TestBoundPieces:
 
         for name in calls:
             monkeypatch.setattr(bounds, name, counted(name))
-        call()
+        compare_report(LJ, 1.0, 0.6397, REGISTRY)
         assert calls == {"split": 1, "_is_zero_potential": 1}
 
     def test_no_private_imports_across_modules(self):
@@ -394,7 +371,7 @@ class TestKnotsBeyondTailCut:
         assert math.isclose(report.pieces["outer_abs"], outer, rel_tol=1e-8)
         assert math.isclose(report.c_pr, c_pr, rel_tol=1e-8)
         assert math.isclose(penrose_ruelle(tab, beta, 0.0)[0], c_pr, rel_tol=1e-8)
-        c_star, _ = basuev_c_star(tab, self.CUT, beta, REGISTRY.b_upper)
+        c_star = bound_pieces(tab, self.CUT, beta, 0.0).c_star
         assert math.isclose(c_star, report.c_star, rel_tol=1e-12)
         assert c_star > outer
 

@@ -21,6 +21,15 @@ def test_exports():
         "MergeState",
         "CappedPotential",
         "PotentialSplit",
+        "mps_bound",
+        "basuev_c_star",
+        "basuev_c_hat",
+        "basuev_radius",
+        "lj_type_check",
+        "LJTypeCheckReport",
+        "lennard_jones",
+        "hard_core_wrap",
+        "negative_part",
     }
     assert not removed & set(mayerbounds.__all__)
     for name in mayerbounds.__all__:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from mayerbounds.potentials import (
+    HardCoreWrap,
     InversePower,
     LennardJones,
     LJTypeEnvelope,
@@ -17,14 +18,11 @@ from mayerbounds.potentials import (
     PairPotential,
     PotentialDomainError,
     TabulatedPotential,
-    hard_core_wrap,
-    lennard_jones,
-    lj_type_check,
-    negative_part,
     potential_from_config,
     split,
 )
 
+LJ = LennardJones()
 LJ_ZERO = 2.0 ** (-1.0 / 6.0)
 
 # dips that a sampled check of (0, a] misses: one narrower than a 1e4-point
@@ -39,22 +37,22 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 
 class TestLennardJones:
     def test_minimum_at_one(self):
-        assert lennard_jones(1.0) == -1.0
+        assert LJ(1.0) == -1.0
 
     def test_zero_crossing(self):
-        assert abs(lennard_jones(LJ_ZERO)) < 1e-14
+        assert abs(LJ(LJ_ZERO)) < 1e-14
 
     def test_value_at_0_3637(self):
         with mpmath.workdps(30):
             expected = float(mpmath.mpf("0.3637") ** -12 - 2 / mpmath.mpf("0.3637") ** 6)
-        assert math.isclose(lennard_jones(0.3637), expected, rel_tol=1e-14)
-        assert math.isclose(lennard_jones(0.3637), 1.858e5, rel_tol=1e-3)
+        assert math.isclose(LJ(0.3637), expected, rel_tol=1e-14)
+        assert math.isclose(LJ(0.3637), 1.858e5, rel_tol=1e-3)
 
     def test_domain_error(self):
         with pytest.raises(PotentialDomainError):
-            lennard_jones(0.0)
+            LJ(0.0)
         with pytest.raises(PotentialDomainError):
-            lennard_jones(-1.0)
+            LJ(-1.0)
         with pytest.raises(PotentialDomainError):
             LennardJones()(np.array([0.5, -0.5]))
 
@@ -67,28 +65,7 @@ class TestLennardJones:
     @given(st.floats(min_value=1e-3, max_value=0.999))
     @settings(max_examples=100, deadline=None)
     def test_monotone_decreasing_inside_minimum(self, r):
-        assert lennard_jones(r) > lennard_jones(r + 1e-3)
-
-
-class TestNegativePart:
-    def test_examples(self):
-        lj = LennardJones()
-        assert negative_part(lj, 0.5) == 0.0
-        assert negative_part(lj, 1.0) == 1.0
-        assert negative_part(lj, 1.5) == -lennard_jones(1.5)
-
-    def test_identity_half_abs_minus_value(self):
-        lj = LennardJones()
-        r = np.geomspace(0.3, 10.0, 200)
-        v = lj(r)
-        np.testing.assert_allclose(negative_part(lj, r), 0.5 * (np.abs(v) - v), atol=1e-12)
-
-    def test_nonnegative_and_opposite_sign(self):
-        lj = LennardJones()
-        r = np.geomspace(0.2, 20.0, 500)
-        nparts = negative_part(lj, r)
-        assert np.all(nparts >= 0.0)
-        assert np.all(nparts * lj(r) <= 0.0)
+        assert LJ(r) > LJ(r + 1e-3)
 
 
 class TestSplit:
@@ -97,7 +74,7 @@ class TestSplit:
         # every cut below the LJ zero crossing is valid: V(r) >= V(a) > 0 on (0, a]
         lj = LennardJones()
         value = split(lj, a)
-        assert value == lennard_jones(a) > 0.0
+        assert value == LJ(a) > 0.0
         assert np.all(lj(np.geomspace(a * 1e-6, a, 2000)) >= value)
 
     def test_returns_plain_float(self):
@@ -148,8 +125,8 @@ FLOOR_CASES = {
     "lennard-jones": lambda rng: LennardJones(),
     "inverse-power": lambda rng: InversePower(float(rng.uniform(0.0, 3.0)), 12.0),
     "tabulated": _random_tabulated,
-    "hard-core/lj": lambda rng: hard_core_wrap(LennardJones(), float(rng.uniform(0.5, 1.5)), 0.5),
-    "hard-core/tabulated": lambda rng: hard_core_wrap(_random_tabulated(rng), 0.9, 1.0),
+    "hard-core/lj": lambda rng: HardCoreWrap(LennardJones(), float(rng.uniform(0.5, 1.5)), 0.5),
+    "hard-core/tabulated": lambda rng: HardCoreWrap(_random_tabulated(rng), 0.9, 1.0),
 }
 
 
@@ -199,18 +176,18 @@ class TestFloor:
             assert math.isclose(floor, found, rel_tol=1e-9, abs_tol=1e-12)
 
     def test_examples(self):
-        assert LennardJones().floor(0.0, 0.6397) == lennard_jones(0.6397)
+        assert LennardJones().floor(0.0, 0.6397) == LJ(0.6397)
         assert LennardJones().floor(0.5, 3.0) == -1.0
-        assert LennardJones().floor(1.5, 3.0) == lennard_jones(1.5)
+        assert LennardJones().floor(1.5, 3.0) == LJ(1.5)
         assert InversePower(2.0, 6.0).floor(0.0, 2.0) == 2.0 * 2.0**-6.0
         tab = TabulatedPotential(knots=((1.0, 2.0), (2.0, -1.0), (3.0, 4.0)))
         assert tab.floor(0.0, 1.5) == 0.5
         assert tab.floor(0.0, 2.5) == -1.0
         assert tab.floor(2.5, 4.0) == 0.0  # zero past the last knot
         assert tab.floor(0.0, 0.5) == 2.0  # constant inside the first knot
-        hc = hard_core_wrap(LennardJones(), 0.8, 100.0)
+        hc = HardCoreWrap(LennardJones(), 0.8, 100.0)
         assert hc.floor(0.0, 0.5) == 100.0
-        assert hc.floor(0.0, 0.85) == lennard_jones(0.85)
+        assert hc.floor(0.0, 0.85) == LJ(0.85)
         assert hc.floor(0.9, 2.0) == -1.0
 
     def test_equal_radii_step_counts_both_sides(self):
@@ -219,30 +196,19 @@ class TestFloor:
 
 
 class TestLJTypeCheck:
-    def test_documented_envelope_passes(self):
-        report = lj_type_check(LennardJones(), LennardJones.default_envelope())
-        assert report.passed
-        assert report.first_failure is None
-
-    def test_oversized_repulsion_floor_fails_with_witness(self):
-        env = LJTypeEnvelope(
-            c_repulsion=1e6, c_attraction=2.0, r1=0.8, r2=1.0,
-            well_depth=1.0, decay_surplus=3.0,
-        )
-        report = lj_type_check(LennardJones(), env)
-        assert not report.passed
-        region, r, value, bound = report.first_failure
-        assert region == "core"
-        assert value < bound
-        assert 0 < r <= 0.8
-
-    def test_pure_repulsive_with_vanishing_well(self):
-        v = InversePower(1.0, 12.0)
-        env = LJTypeEnvelope(
-            c_repulsion=0.5, c_attraction=1e-12, r1=0.9, r2=1.0,
-            well_depth=0.0, decay_surplus=6.0,
-        )
-        assert lj_type_check(v, env).passed
+    def test_default_envelope_holds_in_closed_form(self):
+        # every envelope power is r^-6, so V - c r^-6 = r^-6 (r^-6 - 2 - c)
+        env = LennardJones.default_envelope()
+        assert env.d + env.decay_surplus == 6.0
+        # core: V >= c_repulsion r^-6 up to r = (2 + c_repulsion)^(-1/6), past r1
+        crossing = (2.0 + env.c_repulsion) ** (-1.0 / 6.0)
+        assert env.r1 < crossing
+        assert math.isclose(LJ(crossing), env.repulsive_floor(crossing), rel_tol=1e-12)
+        # well: V + 1 = (r^-6 - 1)^2 >= 0, so the floor on (r1, r2] is V(1) = -1
+        assert LJ.floor(env.r1, env.r2) == LJ(1.0) == -1.0
+        assert env.well_depth >= 1.0
+        # tail: V + c_attraction r^-6 = r^-12 + (c_attraction - 2) r^-6 > 0
+        assert env.c_attraction >= 2.0
 
     def test_envelope_validation(self):
         with pytest.raises(ValueError):
@@ -265,10 +231,10 @@ class TestLJTypeCheck:
 
 class TestHardCoreWrap:
     def test_values(self):
-        hc = hard_core_wrap(LennardJones(), 0.5, 100.0)
+        hc = HardCoreWrap(LennardJones(), 0.5, 100.0)
         assert hc(0.2) == 100.0
         assert hc(0.5) == 100.0
-        assert hc(0.8) == lennard_jones(0.8)
+        assert hc(0.8) == LJ(0.8)
 
     def test_gibbs_factor_monotone_in_height(self):
         values = [math.exp(-h) for h in (10.0, 20.0, 40.0)]
@@ -276,16 +242,16 @@ class TestHardCoreWrap:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            hard_core_wrap(LennardJones(), 0.0, 1.0)
+            HardCoreWrap(LennardJones(), 0.0, 1.0)
         with pytest.raises(ValueError):
-            hard_core_wrap(LennardJones(), 1.0, -5.0)
+            HardCoreWrap(LennardJones(), 1.0, -5.0)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_parameters_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            hard_core_wrap(LennardJones(), 0.3, bad)
+            HardCoreWrap(LennardJones(), 0.3, bad)
         with pytest.raises(ValueError, match="finite"):
-            hard_core_wrap(LennardJones(), bad, 10.0)
+            HardCoreWrap(LennardJones(), bad, 10.0)
 
 
 class TestInversePower:

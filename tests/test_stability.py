@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mayerbounds.potentials import InversePower, LennardJones, LJTypeEnvelope, lennard_jones
+from mayerbounds.potentials import InversePower, LennardJones, LJTypeEnvelope
 from mayerbounds import quadrature
 from mayerbounds.quadrature import QuadratureSpec, sphere_surface
 from mayerbounds.stability import (
@@ -85,7 +85,7 @@ class TestCriterion:
         assert criterion_holds(LJ, 0.6397, mu_upper_yuhjtman(0.6397))
 
     def test_lj_fails_at_0_66(self):
-        assert lennard_jones(0.66) < 2 * 24.05 / 0.66**3
+        assert LJ(0.66) < 2 * 24.05 / 0.66**3
         assert not criterion_holds(LJ, 0.66, mu_upper_yuhjtman(0.66))
 
     def test_repulsive_with_zero_bound(self):
@@ -151,7 +151,7 @@ class TestFindMaxA:
             find_max_a(LJ, "yuhjtman", (0.65, 0.7))
 
     def test_cube_for_non_lj_requires_envelope(self):
-        with pytest.raises(MethodMismatchError):
+        with pytest.raises(MethodMismatchError, match=r"mu_upper_cube\(envelope, a\)"):
             find_max_a(InversePower(1.0, 12.0), "cube", (0.1, 0.5))
 
     def test_unknown_method(self):
