@@ -190,6 +190,13 @@ class TestBasuevBounds:
         report = compare_report(LJ, 1.0, 0.5, NO_STABILITY)
         assert math.isclose(report.r_star, report.r_hat, rel_tol=1e-12)
 
+    def test_radii_at_zero_stability_constants(self):
+        # B = B-bar = 0: every radius is exactly e^-1 over its integral
+        report = compare_report(LJ, 1.0, 0.6397, NO_STABILITY)
+        assert report.r_mps == math.exp(-1.0) / report.c_tilde
+        assert report.r_star == math.exp(-1.0) / report.c_star
+        assert report.r_hat == math.exp(-1.0) / report.c_hat
+
     def test_negative_bbar_rejected(self):
         with pytest.raises(ValueError):
             bound_pieces(LJ, 0.5, 1.0, -1.0)
@@ -301,7 +308,11 @@ class TestBoundPieces:
         assert set(pieces.pieces.values()) == {0.0}
         assert pieces.c_tilde == pieces.c_star == pieces.c_hat == 0.0
 
-    def test_one_split_and_one_zero_probe(self, monkeypatch):
+    @pytest.mark.parametrize("call", [
+        lambda: compare_report(LJ, 1.0, 0.6397, REGISTRY),
+        lambda: bound_pieces(LJ, 0.6397, 1.0, REGISTRY.bbar_upper),
+    ])
+    def test_one_split_and_one_zero_probe(self, call, monkeypatch):
         calls = {"split": 0, "_is_zero_potential": 0}
 
         def counted(name):
@@ -315,8 +326,12 @@ class TestBoundPieces:
 
         for name in calls:
             monkeypatch.setattr(bounds, name, counted(name))
-        compare_report(LJ, 1.0, 0.6397, REGISTRY)
+        call()
         assert calls == {"split": 1, "_is_zero_potential": 1}
+
+    def test_all_lists_only_own_definitions(self):
+        # quadrature's names have their public home in quadrature and the package root
+        assert all(getattr(bounds, name).__module__ == bounds.__name__ for name in bounds.__all__)
 
     def test_no_private_imports_across_modules(self):
         root = Path(__file__).resolve().parents[1]

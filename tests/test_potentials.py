@@ -196,7 +196,7 @@ class TestFloor:
 
 
 class TestLJTypeCheck:
-    def test_default_envelope_holds_in_closed_form(self):
+    def test_documented_envelope_passes(self):
         # every envelope power is r^-6, so V - c r^-6 = r^-6 (r^-6 - 2 - c)
         env = LennardJones.default_envelope()
         assert env.d + env.decay_surplus == 6.0
@@ -209,6 +209,40 @@ class TestLJTypeCheck:
         assert env.well_depth >= 1.0
         # tail: V + c_attraction r^-6 = r^-12 + (c_attraction - 2) r^-6 > 0
         assert env.c_attraction >= 2.0
+
+    def test_oversized_repulsion_floor_fails_with_witness(self):
+        env = LJTypeEnvelope(
+            c_repulsion=1e6, c_attraction=2.0, r1=0.8, r2=1.0,
+            well_depth=1.0, decay_surplus=3.0,
+        )
+        # V - c r^-6 = r^-6 (r^-6 - 2 - c) turns negative past the crossing, inside r1
+        crossing = (2.0 + env.c_repulsion) ** (-1.0 / 6.0)
+        assert 0 < crossing < env.r1
+        assert math.isclose(LJ(crossing), env.repulsive_floor(crossing), rel_tol=1e-9)
+        assert LJ(env.r1) < env.repulsive_floor(env.r1)
+
+    def test_pure_repulsive_with_vanishing_well(self):
+        v = InversePower(1.0, 12.0)
+        env = LJTypeEnvelope(
+            c_repulsion=0.5, c_attraction=1e-12, r1=0.9, r2=1.0,
+            well_depth=0.0, decay_surplus=6.0,
+        )
+        # core: V - 0.5 r^-9 = r^-9 (r^-3 - 0.5) >= 0 up to r = 2^(1/3), past r1
+        crossing = env.c_repulsion ** (-1.0 / 3.0)
+        assert env.r1 < crossing
+        assert math.isclose(v(crossing), env.repulsive_floor(crossing), rel_tol=1e-12)
+        # well and tail: V = r^-12 > 0, above -well_depth and -eta
+        assert v.floor(env.r1, env.r2) == v(env.r2) == 1.0 > -env.well_depth
+        assert v.coefficient > 0.0
+        # with no well, eta-bar's inner level is the tail envelope at r2
+        assert env.majorant_well() == env.attractive_envelope(env.r2) == 1e-12
+
+    def test_eta_bar_majorizes_negative_part(self):
+        env = LennardJones.default_envelope()
+        r = np.geomspace(0.2, 20.0, 500)
+        eta = env.eta_bar(r)
+        assert np.all(eta >= np.maximum(-LJ(r), 0.0))
+        assert np.all(np.diff(eta) <= 0.0)
 
     def test_envelope_validation(self):
         with pytest.raises(ValueError):

@@ -154,6 +154,11 @@ class TestFindMaxA:
         with pytest.raises(MethodMismatchError, match=r"mu_upper_cube\(envelope, a\)"):
             find_max_a(InversePower(1.0, 12.0), "cube", (0.1, 0.5))
 
+    def test_cube_reads_the_default_envelope(self):
+        bound_at = mu_bound_function("cube", LJ)
+        for a in (0.3637, 0.5):
+            assert bound_at(a) == mu_upper_cube(LennardJones.default_envelope(), a)
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             find_max_a(LJ, "magic", (0.6, 0.7))
