@@ -89,8 +89,8 @@ def _parse_interval(text: str) -> tuple[float, float]:
         lo, hi = float(lo_text), float(hi_text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"interval must be 'lo:hi', got {text!r}")
-    if not lo < hi:
-        raise argparse.ArgumentTypeError(f"interval needs lo < hi, got {text!r}")
+    if not 0 < lo < hi < math.inf:
+        raise argparse.ArgumentTypeError(f"interval needs finite 0 < lo < hi, got {text!r}")
     return lo, hi
 
 
@@ -217,8 +217,11 @@ def _stability_from_args(args, parser: argparse.ArgumentParser) -> StabilityData
 
 
 def cmd_bounds(args, parser) -> int:
-    stability = _stability_from_args(args, parser)
-    spec = QuadratureSpec(rel_tol=args.rel_tol) if args.rel_tol else None
+    try:
+        stability = _stability_from_args(args, parser)
+        spec = QuadratureSpec(rel_tol=args.rel_tol) if args.rel_tol is not None else None
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         report = compare_report(args.potential, args.beta, args.a, stability, spec)
     except NotBasuevAtCutError as exc:
@@ -330,6 +333,8 @@ def main(argv=None) -> int:
         parser.error(f"identity check supports 2 <= n <= {MAX_GRAPH_N}, got n={args.n}")
     if args.command == "identity" and not (math.isfinite(args.beta) and args.beta >= 0):
         parser.error(f"beta must be finite and non-negative, got {args.beta!r}")
+    if args.command in ("identity", "criterion") and not 0 <= args.tol < math.inf:
+        parser.error(f"--tol must be finite and non-negative, got {args.tol!r}")
     if args.command == "criterion" and args.method == "user":
         try:
             mu_bound_function("user", args.potential, mu_value=args.mu_value)

@@ -6,6 +6,9 @@ canonical so golden tests stay stable:
 
 * graphs: edge-subset bitmasks in ascending order, edge bits assigned to the
   unordered pairs (1,2) < (1,3) < ... < (n-1,n) lexicographically;
+* component partitions: numbered in order of first appearance over the
+  graphs, by bit doubling over the edge bits with one join of two blocks per
+  partition and edge, not per graph;
 * trees: sorted edge tuples, Prufer sequences in lexicographic order.
 
 Size guards fail fast instead of attempting enumerations beyond desk scale.
@@ -47,9 +50,10 @@ def pair_order(n: int) -> list[tuple[int, int]]:
 
 def connected_edge_masks(n: int) -> np.ndarray:
     """Ascending bitmasks (over pair_order bits) of the connected graphs on [n]:
-    those in which the component of vertex 1 is all of [n]."""
+    those whose component partition is the single block [n]."""
     _check_range(n, 1, MAX_GRAPH_N, "connected_edge_masks")
-    return np.flatnonzero(_component_masks(n)[0] == (1 << n) - 1)
+    classes, blocks = graph_components(n)
+    return np.flatnonzero((blocks[:, 0] == (1 << n) - 1)[classes])
 
 
 def graph_components(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -62,36 +66,29 @@ def graph_components(n: int) -> tuple[np.ndarray, np.ndarray]:
                 ordered by lowest vertex and padded with 0 to length n.
 
     Every partition of [n] is some graph's, so blocks has Bell(n) rows.
+
+    Bit doubling over class indices: the graphs holding edge e = ij as their
+    top bit are those below it plus e.  So one join row per edge maps each
+    class seen so far to its partition with the blocks of i and j joined
+    (to itself when they are one block), and the classes of the top graphs
+    are that row read at the classes of those below.  A partition is keyed
+    by the block of each vertex; one first met at edge e is joined from edge
+    e + 1 on, which keeps the classes numbered in order of first appearance.
     """
     _check_range(n, 1, MAX_GRAPH_N, "graph_components")
-    comp = _component_masks(n)
-    key = np.zeros(comp.shape[1], dtype=np.int64)  # the n component masks, n bits each
-    for v in range(n):
-        key |= comp[v].astype(np.int64) << n * v
-    _, first, classes = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    classes = np.argsort(order)[classes]
-    rows = comp[:, first[order]].T.astype(np.int64)  # row c: the component mask of each vertex
+    index = {tuple(1 << v for v in range(n)): 0}  # partitions, in order of first appearance
+    pairs = pair_order(n)
+    classes = np.zeros(1 << len(pairs), dtype=np.intp)
+    for e, (i, j) in enumerate(pairs):
+        join = []
+        for part in list(index):
+            merged = part[i - 1] | part[j - 1]
+            key = tuple(merged if b & merged else b for b in part)
+            join.append(index.setdefault(key, len(index)))
+        classes[1 << e : 2 << e] = np.array(join)[classes[: 1 << e]]
+    rows = np.array(list(index), dtype=np.int64)  # row c: the block of each vertex
     blocks = np.where(rows & -rows == 1 << np.arange(n), rows, 0)  # kept at lowest vertex
     return classes, np.take_along_axis(blocks, np.argsort(blocks == 0, axis=1, kind="stable"), 1)
-
-
-def _component_masks(n: int) -> np.ndarray:
-    """comp[v-1, g]: vertex bitmask (bit u-1 = vertex u) of the component of v
-    in graph g, for all 2^(n(n-1)/2) graphs on [n] at once.
-
-    Bit doubling: the graphs holding edge e = ij as their top bit are those
-    below it plus e, which merges the components of i and j.
-    """
-    pairs = pair_order(n)
-    comp = np.empty((n, 1 << len(pairs)), dtype=np.uint8)
-    comp[:, 0] = 1 << np.arange(n)
-    for e, (i, j) in enumerate(pairs):
-        below, top = comp[:, : 1 << e], comp[:, 1 << e : 2 << e]
-        merged = below[i - 1] | below[j - 1]
-        for v in range(n):
-            top[v] = np.where(merged >> v & 1, merged, below[v])
-    return comp
 
 
 def enumerate_labeled_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:

@@ -67,9 +67,9 @@ class QuadratureSpec:
     max_subdivisions: int = 4000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.tail_cut <= 0 or self.max_subdivisions < 1:
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
+        if not (0 < self.tail_cut < math.inf and 1 <= self.max_subdivisions < math.inf):
             raise ValueError("invalid tail cut or subdivision budget")
 
     def halved(self) -> "QuadratureSpec":

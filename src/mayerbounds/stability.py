@@ -90,10 +90,10 @@ class StabilityData:
     sources: dict[str, str]
 
     def __post_init__(self):
-        if not 0 <= self.b_lower <= self.b_upper:
-            raise ValueError("need 0 <= b_lower <= b_upper")
-        if self.bbar_factor < 1:
-            raise ValueError("bbar_factor must be >= 1")
+        if not 0 <= self.b_lower <= self.b_upper < math.inf:
+            raise ValueError("need 0 <= b_lower <= b_upper < inf")
+        if not 1 <= self.bbar_factor < math.inf:
+            raise ValueError("bbar_factor must be finite and >= 1")
 
     @property
     def bbar_upper(self) -> float:

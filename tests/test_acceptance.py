@@ -16,12 +16,11 @@ from mayerbounds.bounds import (
     compare_report,
     h_factor,
     offset_stable_ratio,
-    stable_ratio,
 )
 from mayerbounds.cli import main
 from mayerbounds.combinatorics import connected_edge_masks, enumerate_labeled_trees, pair_order
 from mayerbounds.potentials import LennardJones
-from mayerbounds.quadrature import DEFAULT_SPEC, sphere_volume
+from mayerbounds.quadrature import DEFAULT_SPEC, sphere_volume, stable_ratio
 from mayerbounds.reference import reproduction_rows
 from mayerbounds.stability import find_max_a, lj_stability_registry
 from mayerbounds.ursell import (

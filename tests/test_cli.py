@@ -309,9 +309,30 @@ class TestUsage:
         (None, ["criterion", "--method", "user"]),
         (None, ["criterion", "--method", "user", "--mu-value", "-1"]),
         (None, ["criterion", "--method", "user", "--mu-value", "nan"]),
+        (None, ["criterion", "--interval", "0:0.5"]),
+        (None, ["criterion", "--method", "cube", "--interval", "0.6:inf"]),
+        (None, ["criterion", "--tol", "nan"]),
+        (None, ["criterion", "--tol", "-1"]),
+        (None, ["identity", "--n", "3", "--tol", "nan"]),
+        (None, ["identity", "--n", "3", "--tol", "-1"]),
+        (None, ["identity", "--n", "3", "--tol", "inf"]),
+        (None, ["bounds", "--a", "0.6397", "--b-upper", "-1"]),
+        (None, ["bounds", "--a", "0.6397", "--b-upper", "nan"]),
+        (None, ["bounds", "--a", "0.6397", "--b-upper", "inf"]),
+        (None, ["bounds", "--a", "0.6397", "--b-lower", "nan"]),
+        (None, ["bounds", "--a", "0.6397", "--bbar-factor", "0.5"]),
+        (None, ["bounds", "--a", "0.6397", "--bbar-factor", "nan"]),
+        (None, ["bounds", "--a", "0.6397", "--bbar-factor", "inf"]),
+        (None, ["bounds", "--a", "0.6397", "--rel-tol", "-1"]),
+        (None, ["bounds", "--a", "0.6397", "--rel-tol", "0"]),
+        (None, ["bounds", "--a", "0.6397", "--rel-tol", "nan"]),
     ], ids=["missing-file", "not-an-object", "missing-key", "tail-not-an-object",
             "infinite-knot", "nan-core-height", "infinite-coefficient", "user-without-mu",
-            "user-negative-mu", "user-nan-mu"])
+            "user-negative-mu", "user-nan-mu", "interval-at-zero", "interval-to-inf",
+            "criterion-nan-tol", "criterion-negative-tol", "identity-nan-tol",
+            "identity-negative-tol", "identity-inf-tol", "negative-b-upper", "nan-b-upper",
+            "inf-b-upper", "nan-b-lower", "bbar-factor-below-one", "nan-bbar-factor",
+            "inf-bbar-factor", "negative-rel-tol", "zero-rel-tol", "nan-rel-tol"])
     def test_bad_input_is_usage_error_without_traceback(self, config, argv, tmp_path):
         if config is not None:
             (tmp_path / "cfg.json").write_text(config)

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from mayerbounds.combinatorics import (
     pair_order,
 )
 from oracles import mobius_alternating_sum, set_partitions, stirling2_row
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def bell_numbers(limit):
@@ -173,9 +179,10 @@ class TestConnectedGraphs:
 
 
 class TestGraphComponents:
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_every_graph_against_union_find(self, n):
         classes, blocks = graph_components(n)
+        assert classes.dtype == np.intp  # an int16 index makes the graph route's gather slower
         assert len(classes) == 1 << len(pair_order(n))
         partitions = {}
         for g, c in enumerate(classes.tolist()):
@@ -197,6 +204,24 @@ class TestGraphComponents:
             assert not any(row[size:])  # zeros only pad the end
             lowest = [b & -b for b in row[:size]]
             assert lowest == sorted(lowest)
+
+    def test_cold_n7_memory(self):
+        # a fresh process, so nothing built earlier is reused; the 2^21 intp
+        # classes alone take 16 MB
+        code = (
+            "import tracemalloc\n"
+            "from mayerbounds.combinatorics import graph_components\n"
+            "tracemalloc.start()\n"
+            "graph_components(7)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+            timeout=120,
+        )
+        assert int(proc.stdout) < 40 * 2**20
 
     def test_size_guard(self):
         for n in (0, 8):

@@ -187,6 +187,10 @@ class TestRadialIntegral:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=0.0)
+        for field in ("rel_tol", "abs_tol", "tail_cut", "max_subdivisions"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    QuadratureSpec(**{field: value})
         halved = QuadratureSpec().halved()
         assert halved.rel_tol == QuadratureSpec().rel_tol / 2
 

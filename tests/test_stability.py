@@ -184,6 +184,9 @@ class TestRegistry:
             StabilityData(b_lower=2.0, b_upper=1.0, bbar_factor=1.0, sources={})
         with pytest.raises(ValueError):
             StabilityData(b_lower=0.0, b_upper=1.0, bbar_factor=0.9, sources={})
+        for b_upper, factor in [(math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
+            with pytest.raises(ValueError):
+                StabilityData(b_lower=0.0, b_upper=b_upper, bbar_factor=factor, sources={})
 
     def test_general_ratio(self):
         assert GENERAL_BBAR_RATIO == pytest.approx(13.0 / 12.0)

@@ -333,8 +333,8 @@ class TestGraphRoute:
                 assert float(abs(got - expected)) <= 1e-13 * float(abs(expected))
 
     def test_cold_n7_memory(self):
-        # a fresh process, so the cached tables are built under the trace; a
-        # 2^21-entry connectivity table over the graphs on [7] peaks at 34 MB
+        # a fresh process, so the cached tables are built under the trace; the
+        # tables over the 2^15 graphs on {2..7} peak near 1 MB
         code = (
             "import tracemalloc\n"
             "from mayerbounds.ursell import random_interaction_matrix, ursell_graph_sum\n"
