@@ -36,7 +36,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
     edge_ladder,
-    radial_integral_err,
+    radial_integral,
     sphere_volume,
     stable_ratio,
 )
@@ -109,7 +108,7 @@ def _outer_integral(potential, lo, beta, spec, g) -> tuple[float, float]:
     if tail is not None:
         sign = 1.0 if potential(spec.tail_cut) >= 0.0 else -1.0
         tail = tuple((beta * sign * c, p) for c, p in tail)
-    return radial_integral_err(
+    return radial_integral(
         lambda r: g(potential(r)),
         potential.d,
         lo,
@@ -134,7 +133,7 @@ def _penrose_ruelle_integral(potential, beta, spec) -> tuple[float, float]:
 
 def _inner_integral(potential, a, spec, g) -> tuple[float, float]:
     """(value, err) of int_{|x|<=a} g(V(|x|)), with the edge ladder at a."""
-    return radial_integral_err(
+    return radial_integral(
         lambda r: g(potential(r)), potential.d, 0.0, a, spec, breakpoints=edge_ladder(0.0, a)
     )
 
@@ -292,6 +291,16 @@ def hard_core_bounds(
 # report assembly
 # ---------------------------------------------------------------------------
 
+# (output key, table label, integral field, radius field) of each bound, in
+# output order
+_BOUNDS = (
+    ("penrose_ruelle", "penrose-ruelle", "c_pr", "r_pr"),
+    ("mps", "mps", "c_tilde", "r_mps"),
+    ("basuev_star", "basuev C*", "c_star", "r_star"),
+    ("basuev_hat", "basuev C^", "c_hat", "r_hat"),
+)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Every integral and radius for one (potential, beta, a, B, B-bar) tuple."""
@@ -315,7 +324,7 @@ class BoundReport:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for name in ("c_pr", "c_tilde", "c_star", "c_hat"):
+        for _, _, name, _ in _BOUNDS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         slack = 1e-6 * self.c_star + 1e-12
@@ -336,18 +345,8 @@ class BoundReport:
             "a": self.a,
             "b_used": self.b_used,
             "bbar_used": self.bbar_used,
-            "integrals": {
-                "penrose_ruelle": clean(self.c_pr),
-                "mps": clean(self.c_tilde),
-                "basuev_star": clean(self.c_star),
-                "basuev_hat": clean(self.c_hat),
-            },
-            "radii": {
-                "penrose_ruelle": clean(self.r_pr),
-                "mps": clean(self.r_mps),
-                "basuev_star": clean(self.r_star),
-                "basuev_hat": clean(self.r_hat),
-            },
+            "integrals": {key: clean(getattr(self, c)) for key, _, c, _ in _BOUNDS},
+            "radii": {key: clean(getattr(self, r)) for key, _, _, r in _BOUNDS},
             "pieces": {k: clean(v) for k, v in sorted(self.pieces.items())},
             "error_estimates": {k: clean(v) for k, v in sorted(self.error_estimates.items())},
             "ratios": {k: clean(v) for k, v in sorted(self.ratios.items())},
@@ -363,16 +362,10 @@ class BoundReport:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["bound", "integral", "radius", "beta", "a", "B", "Bbar"])
-        rows = [
-            ("penrose_ruelle", self.c_pr, self.r_pr),
-            ("mps", self.c_tilde, self.r_mps),
-            ("basuev_star", self.c_star, self.r_star),
-            ("basuev_hat", self.c_hat, self.r_hat),
-        ]
-        for name, c_value, radius in rows:
+        for key, _, c, r in _BOUNDS:
             writer.writerow(
-                [name, repr(c_value), repr(radius), repr(self.beta), repr(self.a),
-                 repr(self.b_used), repr(self.bbar_used)]
+                [key, repr(getattr(self, c)), repr(getattr(self, r)), repr(self.beta),
+                 repr(self.a), repr(self.b_used), repr(self.bbar_used)]
             )
         return out.getvalue()
 
@@ -382,13 +375,8 @@ class BoundReport:
             f"B = {self.b_used:.6g}   Bbar = {self.bbar_used:.6g}",
             f"{'bound':<16} {'integral':>14} {'radius':>14}",
         ]
-        for name, c_value, radius in [
-            ("penrose-ruelle", self.c_pr, self.r_pr),
-            ("mps", self.c_tilde, self.r_mps),
-            ("basuev C*", self.c_star, self.r_star),
-            ("basuev C^", self.c_hat, self.r_hat),
-        ]:
-            lines.append(f"{name:<16} {c_value:>14.6g} {radius:>14.6g}")
+        for _, label, c, r in _BOUNDS:
+            lines.append(f"{label:<16} {getattr(self, c):>14.6g} {getattr(self, r):>14.6g}")
         for key, value in sorted(self.ratios.items()):
             lines.append(f"ratio {key} = {value:.6g}")
         for note in self.notes:
@@ -402,7 +390,6 @@ def compare_report(
     a: float,
     stability: StabilityData,
     spec: QuadratureSpec | None = None,
-    reference_radii: Mapping[str, float] | None = None,
 ) -> BoundReport:
     """Assemble all four bounds with per-piece breakdown and radius ratios.
 
@@ -437,9 +424,6 @@ def compare_report(
         "hat_over_pr": _ratio(terms["hat"], terms["pr"]),
         "best_over_pr": _ratio(best, terms["pr"]),
     }
-    if reference_radii:
-        for name, radius in reference_radii.items():
-            ratios[f"hat_over_{name}"] = _ratio(terms["hat"], (math.log(radius), 1.0))
 
     return BoundReport(
         beta=beta,

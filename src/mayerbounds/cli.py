@@ -38,7 +38,7 @@ from .quadrature import (
     QuadratureSpec,
     TemperednessError,
 )
-from .reference import reproduction_rows
+from .reference import SECTIONS, reproduction_rows
 from .stability import (
     MethodDomainError,
     MethodMismatchError,
@@ -204,16 +204,11 @@ def _stability_from_args(args, parser: argparse.ArgumentParser) -> StabilityData
         if not is_lj:
             parser.error("--b-upper is required for potentials other than lennard-jones")
         b_upper = registry.b_upper
-    b_lower = args.b_lower
-    if b_lower is None:
-        b_lower = registry.b_lower if is_lj else 0.0
     factor = args.bbar_factor
     if factor is None:
         factor = registry.bbar_factor if is_lj else 1.0
-    sources = registry.sources if is_lj and b_upper == registry.b_upper else {}
-    return StabilityData(
-        b_lower=min(b_lower, b_upper), b_upper=b_upper, bbar_factor=factor, sources=sources
-    )
+    # the report reads only b_upper and the B-bar factor; 0 is a valid lower bound
+    return StabilityData(b_lower=0.0, b_upper=b_upper, bbar_factor=factor, sources={})
 
 
 def cmd_bounds(args, parser) -> int:
@@ -313,14 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bd.add_argument("--potential", type=_load_potential, default="lennard-jones")
     p_bd.add_argument("--beta", type=float, default=1.0)
     p_bd.add_argument("--a", type=float, required=True)
-    p_bd.add_argument("--b-lower", type=float, default=None)
     p_bd.add_argument("--b-upper", type=float, default=None)
     p_bd.add_argument("--bbar-factor", type=float, default=None)
     p_bd.add_argument("--rel-tol", type=float, default=None)
     add_common(p_bd)
 
     p_rp = sub.add_parser("reproduce", help="recompute the published reference constants")
-    p_rp.add_argument("--section", choices=("5.2", "5.3", "all"), default="all")
+    p_rp.add_argument("--section", choices=(*SECTIONS, "all"), default="all")
     add_common(p_rp)
 
     return parser
@@ -331,6 +325,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "identity" and not 2 <= args.n <= MAX_GRAPH_N:
         parser.error(f"identity check supports 2 <= n <= {MAX_GRAPH_N}, got n={args.n}")
+    if args.command == "identity" and args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     if args.command == "identity" and not (math.isfinite(args.beta) and args.beta >= 0):
         parser.error(f"beta must be finite and non-negative, got {args.beta!r}")
     if args.command in ("identity", "criterion") and not 0 <= args.tol < math.inf:

@@ -53,7 +53,7 @@ class TemperednessError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budgets for the radial integrals.
+    """Tolerances and subdivision budget of every adaptive integral.
 
     `tail_cut` is the radius beyond which declared power-law tails are
     integrated in closed form instead of numerically; it must lie beyond
@@ -177,18 +177,19 @@ def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
+    spec: QuadratureSpec | None = None,
     *,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-12,
-    max_panels: int = 4000,
     breakpoints: Iterable[float] = (),
 ) -> tuple[float, float]:
     """Integrate f on [lo, hi]; return (value, error estimate).
 
-    Raises QuadratureConvergenceError when the estimate cannot be pushed
-    below max(abs_tol, rel_tol * |value|) within max_panels panels, or when
-    every panel left is narrower than floating-point resolution.
+    Tolerances and the panel budget come from `spec` (DEFAULT_SPEC when
+    None).  Raises QuadratureConvergenceError when the estimate cannot be
+    pushed below max(spec.abs_tol, spec.rel_tol * |value|) within
+    spec.max_subdivisions panels, or when every panel left is narrower than
+    floating-point resolution.
     """
+    spec = spec or DEFAULT_SPEC
     if hi < lo:
         raise ValueError(f"inverted integration range [{lo}, {hi}]")
     if hi == lo:
@@ -210,8 +211,8 @@ def integrate_adaptive(
         total_err += err
     n_panels = len(spans)
 
-    while total_err > max(abs_tol, rel_tol * abs(total)):
-        if n_panels >= max_panels or not heap:
+    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
+        if n_panels >= spec.max_subdivisions or not heap:
             where = f"after {n_panels} panels" if heap else "with no panel left to split"
             raise QuadratureConvergenceError(
                 f"quadrature did not reach tolerance {where} "
@@ -248,28 +249,17 @@ def radial_integral(
     *,
     tail: Sequence[tuple[float, float]] | None = None,
     breakpoints: Iterable[float] = (),
-) -> float:
-    """Integral of g(|x|) over the radial shell lo <= |x| <= hi in R^d.
-
-    Evaluates S_{d-1} * int r^{d-1} g(r) dr adaptively.  An infinite upper
-    limit requires `tail`, the exact power-law form g(r) = sum c_i r^{-p_i}
-    valid for r >= spec.tail_cut (empty tuple = zero tail); the tail part is
-    then integrated in closed form so no mass is silently truncated.
-    """
-    return radial_integral_err(g, d, lo, hi, spec, tail=tail, breakpoints=breakpoints)[0]
-
-
-def radial_integral_err(
-    g: Callable[[np.ndarray], np.ndarray],
-    d: int,
-    lo: float,
-    hi: float,
-    spec: QuadratureSpec | None = None,
-    *,
-    tail: Sequence[tuple[float, float]] | None = None,
-    breakpoints: Iterable[float] = (),
 ) -> tuple[float, float]:
-    """radial_integral plus the quadrature error estimate."""
+    """(value, error estimate) of the integral of g(|x|) over the radial
+    shell lo <= |x| <= hi in R^d.
+
+    Evaluates S_{d-1} * int r^{d-1} g(r) dr adaptively; the error estimate is
+    integrate_adaptive's.  An infinite upper limit requires `tail`, the exact
+    power-law form g(r) = sum c_i r^{-p_i} valid for r >= spec.tail_cut
+    (empty tuple = zero tail); the tail part is then integrated in closed
+    form, with no error estimate of its own, so no mass is silently
+    truncated.
+    """
     spec = spec or DEFAULT_SPEC
     surface = sphere_surface(d)
 
@@ -286,27 +276,22 @@ def radial_integral_err(
         tail_value = power_tail_integral(tail, d, max(lo, top))
         if lo >= top:
             return tail_value, 0.0
-    value, err = integrate_adaptive(
-        integrand,
-        lo,
-        top,
-        rel_tol=spec.rel_tol,
-        abs_tol=spec.abs_tol,
-        max_panels=spec.max_subdivisions,
-        breakpoints=breakpoints,
-    )
+    value, err = integrate_adaptive(integrand, lo, top, spec, breakpoints=breakpoints)
     # integrate_adaptive never returns -0.0, so a finite hi keeps its bits
     return value + tail_value, err
 
 
-def edge_ladder(lo: float, hi: float, depth: int = 48) -> list[float]:
+_LADDER_DEPTH = 48
+
+
+def edge_ladder(lo: float, hi: float) -> list[float]:
     """Breakpoints accumulating geometrically at `hi`.
 
     Seeds panels that resolve a boundary layer just inside `hi` down to
-    relative width 2^-depth.
+    relative width 2^-48.
     """
     width = hi - lo
-    pts = [hi - width * 0.5**j for j in range(1, depth + 1)]
+    pts = [hi - width * 0.5**j for j in range(1, _LADDER_DEPTH + 1)]
     return [p for p in pts if lo < p < hi]
 
 

@@ -10,7 +10,8 @@ Two bound methods are built in:
 
 * cube packing: mu(a) <= C_d / a^d with C_d = (4d)^(d/2) * integral of the
   monotone majorant eta-bar of V^- over R^d (valid for cuts inside the
-  repulsive region, a < r1);
+  repulsive region, a < r1).  eta-bar is flat inside r2 and a power law
+  beyond, so its integral is exact: a ball volume plus a closed-form tail;
 * the Lennard-Jones-specific bound mu(a) <= 24.05 / a^3, valid for
   0.6 <= a <= 0.7 (Yuhjtman 2015).
 
@@ -22,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from .potentials import LennardJones, LJTypeEnvelope, PairPotential
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, radial_integral
+from .quadrature import power_tail_integral, sphere_volume
 
 __all__ = [
     "MethodDomainError",
@@ -123,34 +123,22 @@ def lj_stability_registry() -> StabilityData:
 PREVIOUS_LJ_B_UPPER = 41.66
 
 
-@lru_cache(maxsize=32)
-def _eta_bar_integral(envelope: LJTypeEnvelope, spec: QuadratureSpec) -> float:
-    """int eta-bar over R^d; independent of the cut, so a cut search pays it once."""
-    return radial_integral(
-        envelope.eta_bar,
-        envelope.d,
-        0.0,
-        math.inf,
-        spec,
-        tail=((envelope.c_attraction, envelope.d + envelope.decay_surplus),),
-        breakpoints=(envelope.r2,),
-    )
-
-
-def mu_upper_cube(
-    envelope: LJTypeEnvelope, a: float, spec: QuadratureSpec | None = None
-) -> MuBound:
+def mu_upper_cube(envelope: LJTypeEnvelope, a: float) -> MuBound:
     """Cube-packing bound mu(a) <= (4d)^(d/2)/a^d * int eta-bar.
 
     Packs disjoint cubes of diagonal a/2 around the cloud particles; requires
     the cut inside the repulsive region (0 < a < r1) so V^- vanishes there.
+    int eta-bar is exact: w-bar times the volume of the r2-ball plus the
+    closed-form integral of the power-law envelope beyond r2.
     """
     if not 0 < a < envelope.r1:
         raise MethodDomainError(
             f"cube-packing bound needs 0 < a < r1 = {envelope.r1}, got a = {a}"
         )
     d = envelope.d
-    integral = _eta_bar_integral(envelope, spec or DEFAULT_SPEC)
+    tail = ((envelope.c_attraction, d + envelope.decay_surplus),)
+    well = envelope.majorant_well() * sphere_volume(envelope.r2, d)
+    integral = well + power_tail_integral(tail, d, envelope.r2)
     value = (4.0 * d) ** (d / 2.0) * integral / a**d
     return MuBound(a=a, value=value, method="cube-packing")
 
@@ -188,7 +176,6 @@ def mu_bound_function(
     potential: PairPotential,
     *,
     mu_value: float | None = None,
-    spec: QuadratureSpec | None = None,
 ) -> Callable[[float], MuBound]:
     """Resolve a mu-bound method name to a callable a -> MuBound."""
     if method == "cube":
@@ -198,7 +185,7 @@ def mu_bound_function(
                 f"{potential.kind!r} call mu_upper_cube(envelope, a) with its own envelope"
             )
         envelope = LennardJones.default_envelope()
-        return lambda a: mu_upper_cube(envelope, a, spec)
+        return lambda a: mu_upper_cube(envelope, a)
     if method == "yuhjtman":
         return lambda a: mu_upper_yuhjtman(a, potential)
     if method == "user":
@@ -215,7 +202,6 @@ def find_max_a(
     tol: float = 1e-6,
     *,
     mu_value: float | None = None,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Largest cut radius in the interval at which the criterion certifies.
 
@@ -225,7 +211,7 @@ def find_max_a(
     a_lo, a_hi = interval
     if not 0 < a_lo < a_hi:
         raise ValueError(f"invalid interval [{a_lo}, {a_hi}]")
-    bound_at = mu_bound_function(mu_method, potential, mu_value=mu_value, spec=spec)
+    bound_at = mu_bound_function(mu_method, potential, mu_value=mu_value)
     if not criterion_holds(potential, a_lo, bound_at(a_lo)):
         raise NoValidCutError(
             f"criterion V(a) > 2*mu(a) already fails at the interval start a = {a_lo}"

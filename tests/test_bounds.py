@@ -270,12 +270,6 @@ class TestCompareReport:
                 r_pr=1.0, r_mps=1.0, r_star=1.0, r_hat=1.0,
             )
 
-    def test_reference_radius_ratio(self):
-        report = compare_report(
-            LJ, 1.0, 0.6397, REGISTRY, reference_radii={"lp": 1e-12}
-        )
-        assert "hat_over_lp" in report.ratios
-
 
 class TestBoundPieces:
     """One pipeline computes the pieces that every bound and report reads."""

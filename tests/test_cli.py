@@ -205,7 +205,7 @@ class TestBounds:
     def test_custom_stability_inputs(self, capsys):
         code, out = run(
             [
-                "bounds", "--a", "0.6397", "--b-lower", "8.61", "--b-upper", "8.61",
+                "bounds", "--a", "0.6397", "--b-upper", "8.61",
                 "--bbar-factor", "1.001", "--format", "json",
             ],
             capsys,
@@ -316,10 +316,11 @@ class TestUsage:
         (None, ["identity", "--n", "3", "--tol", "nan"]),
         (None, ["identity", "--n", "3", "--tol", "-1"]),
         (None, ["identity", "--n", "3", "--tol", "inf"]),
+        (None, ["identity", "--n", "3", "--seed", "-1"]),
         (None, ["bounds", "--a", "0.6397", "--b-upper", "-1"]),
         (None, ["bounds", "--a", "0.6397", "--b-upper", "nan"]),
         (None, ["bounds", "--a", "0.6397", "--b-upper", "inf"]),
-        (None, ["bounds", "--a", "0.6397", "--b-lower", "nan"]),
+        (None, ["bounds", "--a", "0.6397", "--b-lower", "8.61"]),
         (None, ["bounds", "--a", "0.6397", "--bbar-factor", "0.5"]),
         (None, ["bounds", "--a", "0.6397", "--bbar-factor", "nan"]),
         (None, ["bounds", "--a", "0.6397", "--bbar-factor", "inf"]),
@@ -330,8 +331,8 @@ class TestUsage:
             "infinite-knot", "nan-core-height", "infinite-coefficient", "user-without-mu",
             "user-negative-mu", "user-nan-mu", "interval-at-zero", "interval-to-inf",
             "criterion-nan-tol", "criterion-negative-tol", "identity-nan-tol",
-            "identity-negative-tol", "identity-inf-tol", "negative-b-upper", "nan-b-upper",
-            "inf-b-upper", "nan-b-lower", "bbar-factor-below-one", "nan-bbar-factor",
+            "identity-negative-tol", "identity-inf-tol", "identity-negative-seed",
+            "negative-b-upper", "nan-b-upper", "inf-b-upper", "removed-b-lower", "bbar-factor-below-one", "nan-bbar-factor",
             "inf-bbar-factor", "negative-rel-tol", "zero-rel-tol", "nan-rel-tol"])
     def test_bad_input_is_usage_error_without_traceback(self, config, argv, tmp_path):
         if config is not None:

@@ -30,6 +30,7 @@ def test_exports():
         "lennard_jones",
         "hard_core_wrap",
         "negative_part",
+        "radial_integral_err",
     }
     assert not removed & set(mayerbounds.__all__)
     for name in mayerbounds.__all__:

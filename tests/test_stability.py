@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mayerbounds.potentials import InversePower, LennardJones, LJTypeEnvelope
 from mayerbounds import quadrature
-from mayerbounds.quadrature import QuadratureSpec, sphere_surface
+from mayerbounds.quadrature import QuadratureSpec, radial_integral, sphere_surface
 from mayerbounds.stability import (
     GENERAL_BBAR_RATIO,
     MethodDomainError,
@@ -64,6 +66,34 @@ class TestCubeBound:
         got = mu_upper_cube(env, 0.36)
         assert math.isclose(got.value, expected, rel_tol=1e-8)
         assert got.method == "cube-packing"
+
+    # coefficients 0 or of normal size: at subnormal ones the quadrature,
+    # not the closed form, loses its relative precision
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        r2=st.floats(min_value=0.05, max_value=10.0),
+        r1_fraction=st.floats(min_value=0.05, max_value=1.0),
+        c_attraction=st.just(0.0) | st.floats(min_value=1e-3, max_value=10.0),
+        well_depth=st.just(0.0) | st.floats(min_value=1e-3, max_value=10.0),
+        decay_surplus=st.floats(min_value=0.05, max_value=12.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_matches_quadrature(
+        self, d, r2, r1_fraction, c_attraction, well_depth, decay_surplus
+    ):
+        # the exact int eta-bar inside mu_upper_cube against eta-bar itself
+        # integrated adaptively to a tolerance far below the asserted one
+        env = LJTypeEnvelope(
+            c_repulsion=1.0, c_attraction=c_attraction, r1=r1_fraction * r2, r2=r2,
+            well_depth=well_depth, decay_surplus=decay_surplus, d=d,
+        )
+        a = 0.5 * env.r1
+        closed = mu_upper_cube(env, a).value * a**d / (4.0 * d) ** (d / 2.0)
+        numeric, _ = radial_integral(
+            env.eta_bar, d, 0.0, math.inf, QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300),
+            tail=((c_attraction, d + decay_surplus),), breakpoints=(r2,),
+        )
+        assert math.isclose(closed, numeric, rel_tol=1e-13, abs_tol=0.0)
 
     def test_repulsive_envelope_gives_zero(self):
         env = LJTypeEnvelope(
@@ -127,12 +157,10 @@ class TestFindMaxA:
         assert best < 0.6397
         assert 0.4 < best < 0.5
 
-    def test_cube_search_integrates_eta_bar_once(self, monkeypatch):
-        # a spec no other test uses, so the first search finds the cache
-        # cold; its budget is never reached, so the numbers are the default
-        # spec's, and the cuts equal bit for bit those found when eta-bar
-        # was integrated on every bisection step
-        spec = QuadratureSpec(max_subdivisions=4001)
+    def test_cube_search_makes_no_quadrature_call(self, monkeypatch):
+        # int eta-bar is exact, so a cube search integrates nothing; the
+        # cuts equal bit for bit those found when eta-bar was integrated
+        # adaptively
         calls = []
         original = quadrature.integrate_adaptive
 
@@ -141,10 +169,10 @@ class TestFindMaxA:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, "integrate_adaptive", counting)
-        assert find_max_a(LJ, "cube", (0.15, 0.75), spec=spec) == 0.44658107757568355
-        assert len(calls) == 1
-        assert find_max_a(LJ, "cube", (0.1, 0.79), tol=1e-9, spec=spec) == 0.44658124527893966
-        assert len(calls) == 1
+        assert find_max_a(LJ, "cube", (0.15, 0.75)) == 0.44658107757568355
+        assert find_max_a(LJ, "cube", (0.1, 0.79), tol=1e-9) == 0.44658124527893966
+        assert find_max_a(LJ, "cube", (0.1, 0.79), tol=1e-5) == 0.4465792846679688
+        assert calls == []
 
     def test_failure_at_interval_start(self):
         with pytest.raises(NoValidCutError):
