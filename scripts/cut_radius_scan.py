@@ -32,7 +32,7 @@ def main() -> int:
         # C^(beta, 0) = C*(beta)
         pieces = bound_pieces(lj, a, args.beta, 0.0)
         if 0.6 <= a <= 0.7:
-            certified = "yes" if criterion_holds(lj, a, mu_upper_yuhjtman(a)) else "no"
+            certified = "yes" if criterion_holds(lj, mu_upper_yuhjtman(a)) else "no"
         else:
             certified = "n/a"
         print(f"{a:>7.4f} {pieces.pieces['c_star_inner']:>12.5g} "

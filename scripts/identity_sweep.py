@@ -2,9 +2,9 @@
 """Sweep the multi-route Ursell identity over a seed range.
 
 Prints the worst pairwise relative difference per (n, beta) cell, split into
-the exact routes (graph vs partition sums) and, where `identity_routes`
-returns them (n <= MAX_INTEGRAL_ROUTE_N), the closed-form simplex routes
-(tree integral, merge expansion).
+the exact routes (graph vs partition sums) and, where `identity_check` runs
+them (n <= MAX_INTEGRAL_ROUTE_N), the worst pair that involves a closed-form
+simplex route (tree integral or merge expansion).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from mayerbounds.ursell import identity_routes, random_interaction_matrix, rel_diff
+from mayerbounds.ursell import identity_check, random_interaction_matrix
 
 
 def main() -> int:
@@ -28,14 +28,12 @@ def main() -> int:
         n = 2 + seed % 6
         matrix = random_interaction_matrix(n, seed)
         for beta in args.betas:
-            routes = identity_routes(matrix, beta)
-            g = routes["graph_sum"]
+            _, pairwise = identity_check(matrix, beta)
             key = (n, beta)
-            worst_exact[key] = max(worst_exact.get(key, 0.0), rel_diff(g, routes["partition_sum"]))
-            if "tree_integral" in routes:
-                t, m = routes["tree_integral"], routes["merge_expansion"]
-                d = max(rel_diff(t, g), rel_diff(m, g), rel_diff(t, m))
-                worst_simplex[key] = max(worst_simplex.get(key, 0.0), d)
+            exact = pairwise.pop("graph_sum_vs_partition_sum")
+            worst_exact[key] = max(worst_exact.get(key, 0.0), exact)
+            if pairwise:
+                worst_simplex[key] = max(worst_simplex.get(key, 0.0), *pairwise.values())
 
     print(f"{'n':>3} {'beta':>6} {'graph-vs-partition':>20} {'simplex routes':>20}")
     for key in sorted(worst_exact):

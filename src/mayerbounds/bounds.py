@@ -24,9 +24,12 @@ tails beyond spec.tail_cut.  The inner integrands have a boundary layer of
 width ~1/(beta |V'(a)|) just inside the cut radius; a geometric panel ladder
 seeds the quadrature there.  Near r -> 0 the inner integrands tend to the
 finite limit |V|/(V - V(a)) -> 1, and the stable ratio helpers guarantee the
-underflow of e^{-beta V} produces that limit rather than NaN.  The C^ factors
-never form e^{beta B-bar}, and radius ratios come from log radii, so large
-beta gives radii that underflow to 0 and ratios that overflow to inf.
+underflow of e^{-beta V} produces that limit rather than NaN, as long as V
+itself is finite at the nodes.  For cuts so small that V overflows there (a
+below ~3e-23 for Lennard-Jones), `bound_pieces` raises ArithmeticError.  The
+C^ factors never form e^{beta B-bar}, and radius ratios come from log radii,
+so large beta gives radii that underflow to 0 and ratios that overflow to
+inf.
 """
 
 from __future__ import annotations
@@ -215,6 +218,7 @@ def bound_pieces(
 
     Checks the cut precondition V(r) >= V(a) > 0 (split raises
     NotBasuevAtCutError); at bbar = 0 the C^ inner piece equals the C* one.
+    Raises ArithmeticError naming every integral that is not finite.
     """
     spec = spec or DEFAULT_SPEC
     if bbar < 0:
@@ -233,8 +237,16 @@ def bound_pieces(
         "c_hat_inner": lambda v: beta * np.abs(v) * offset_stable_ratio(excess(v), y),
         "mps_inner_exp": lambda v: -np.expm1(-excess(v)),
     }
-    integrals = {name: _inner_integral(potential, a, spec, g) for name, g in factors.items()}
-    integrals["outer_abs"] = _outer_integral(potential, a, beta, spec, lambda v: beta * np.abs(v))
+    # V = inf at nodes near 0 makes inf * 0 in the factors; checked once below
+    with np.errstate(invalid="ignore"):
+        integrals = {name: _inner_integral(potential, a, spec, g) for name, g in factors.items()}
+        integrals["outer_abs"] = _outer_integral(
+            potential, a, beta, spec, lambda v: beta * np.abs(v)
+        )
+    not_finite = sorted(name for name, (value, err) in integrals.items()
+                        if not math.isfinite(value + err))
+    if not_finite:
+        raise ArithmeticError(f"{', '.join(not_finite)} not finite at a = {a:g}")
     pieces = {name: value for name, (value, _) in integrals.items()}
     pieces["mps_va_mass"] = beta * value_at_cut * sphere_volume(a, potential.d)
     return BoundPieces(pieces, {name: err for name, (_, err) in integrals.items()})

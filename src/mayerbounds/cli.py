@@ -48,7 +48,7 @@ from .stability import (
     lj_stability_registry,
     mu_bound_function,
 )
-from .ursell import identity_routes, random_interaction_matrix, rel_diff
+from .ursell import identity_check, random_interaction_matrix
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -99,21 +99,9 @@ def _parse_interval(text: str) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def cmd_identity(args) -> int:
-    matrix = random_interaction_matrix(args.n, args.seed)
-    routes = identity_routes(matrix, args.beta)
-    overflowed = sorted(name for name, value in routes.items() if not math.isfinite(value))
-    if overflowed:
-        raise ArithmeticError(f"{', '.join(overflowed)} not finite at beta={args.beta:g}")
-
-    names = sorted(routes)
-    diffs = {}
-    worst_pair, worst = None, -1.0
-    for i, x in enumerate(names):
-        for y in names[i + 1 :]:
-            d = rel_diff(routes[x], routes[y])
-            diffs[f"{x}_vs_{y}"] = d
-            if d > worst:
-                worst_pair, worst = (x, y), d
+    routes, diffs = identity_check(random_interaction_matrix(args.n, args.seed), args.beta)
+    worst_key = max(diffs, key=diffs.get)  # the first maximum, in pair order
+    worst_pair, worst = worst_key.split("_vs_"), diffs[worst_key]
     agree = worst <= args.tol
 
     payload = {
@@ -123,7 +111,7 @@ def cmd_identity(args) -> int:
         "tol": args.tol,
         "routes": routes,
         "pairwise_rel_diff": diffs,
-        "worst_pair": list(worst_pair),
+        "worst_pair": worst_pair,
         "worst_rel_diff": worst,
         "agree": agree,
     }
@@ -131,7 +119,7 @@ def cmd_identity(args) -> int:
         _emit(_json_dumps(payload), args.out)
     else:
         lines = [f"Ursell identity check: n={args.n} beta={args.beta:g} seed={args.seed}"]
-        for name in names:
+        for name in sorted(routes):
             lines.append(f"  {name:<16} = {routes[name]!r}")
         for pair, d in sorted(diffs.items()):
             lines.append(f"  {pair:<34} rel diff {TABLE_FLOAT.format(d)}")

@@ -62,7 +62,9 @@ class PairPotential:
         arr = np.asarray(r, dtype=float)
         if np.any(arr <= 0.0) or np.any(~np.isfinite(arr)):
             raise PotentialDomainError("radius must be positive and finite")
-        with np.errstate(over="ignore", divide="ignore"):
+        # r^-p overflows near 0, and LJ's difference of two infinities is NaN:
+        # callers that need V finite check it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             out = self._evaluate(arr)
         return float(out) if np.isscalar(r) or arr.ndim == 0 else out
 
@@ -241,10 +243,16 @@ class TabulatedPotential(PairPotential):
 
 
 def split(potential: PairPotential, a: float) -> float:
-    """V(a), after checking that V(r) >= V(a) > 0 on (0, a]."""
+    """V(a), after checking that V(r) >= V(a) > 0 on (0, a].
+
+    Raises ArithmeticError when V(a) is not finite (a cut so small that V
+    overflows), NotBasuevAtCutError when the check fails.
+    """
     if a <= 0:
         raise PotentialDomainError("cut radius must be positive")
     value_at_cut = potential(a)
+    if not np.isfinite(value_at_cut):
+        raise ArithmeticError(f"V(a) = {value_at_cut} is not finite at a = {a:g}")
     if not value_at_cut > 0:
         raise NotBasuevAtCutError(f"V(a) = {value_at_cut:.6g} is not positive at a = {a}")
     floor = potential.floor(0.0, a)

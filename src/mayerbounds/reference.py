@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from .bounds import bound_pieces, h_factor
 from .potentials import LennardJones
-from .quadrature import QuadratureSpec
 from .stability import PREVIOUS_LJ_B_UPPER, find_max_a, lj_stability_registry
 
 __all__ = ["ReferenceRow", "REFERENCE_ROWS", "reproduction_rows", "SECTIONS"]
@@ -135,15 +134,15 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
 )
 
 
-def reproduction_values(spec: QuadratureSpec | None = None) -> dict[tuple[str, str], float]:
+def reproduction_values() -> dict[tuple[str, str], float]:
     """Recompute every reference constant from the package's own machinery."""
     lj = LennardJones()
     beta = 1.0
     registry = lj_stability_registry()
     h_low = h_factor(registry.b_lower)
     # C^(1, 0) is C*(1): at B-bar = 0 the damped inner piece is the plain one
-    cut_52 = bound_pieces(lj, PUBLISHED_CUT_52, beta, 0.0, spec)
-    cut_53 = bound_pieces(lj, PUBLISHED_CUT_53, beta, 0.0, spec)
+    cut_52 = bound_pieces(lj, PUBLISHED_CUT_52, beta, 0.0)
+    cut_53 = bound_pieces(lj, PUBLISHED_CUT_53, beta, 0.0)
     outer_52 = cut_52.pieces["outer_abs"]
     va_mass_52 = cut_52.pieces["mps_va_mass"]
 
@@ -172,7 +171,7 @@ def reproduction_values(spec: QuadratureSpec | None = None) -> dict[tuple[str, s
     return values
 
 
-def reproduction_rows(section: str = "all", spec: QuadratureSpec | None = None) -> list[dict]:
+def reproduction_rows(section: str = "all") -> list[dict]:
     """Rows for the reproduce command: computed vs published with a status.
 
     Status is PASS/FAIL for asserted rows (relative difference against the
@@ -181,7 +180,7 @@ def reproduction_rows(section: str = "all", spec: QuadratureSpec | None = None) 
     """
     if section != "all" and section not in SECTIONS:
         raise ValueError(f"unknown section {section!r}; choose from {SECTIONS} or 'all'")
-    values = reproduction_values(spec)
+    values = reproduction_values()
     rows = []
     for row in REFERENCE_ROWS:
         if section != "all" and row.section != section:

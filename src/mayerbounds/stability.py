@@ -15,6 +15,9 @@ Two bound methods are built in:
 * the Lennard-Jones-specific bound mu(a) <= 24.05 / a^3, valid for
   0.6 <= a <= 0.7 (Yuhjtman 2015).
 
+For any stable tempered three-dimensional potential that is eventually
+negative, the two stability constants satisfy B <= B-bar <= (13/12) B.
+
 `find_max_a` pushes the cut radius as far out as the chosen bound certifies,
 which is what minimizes the resulting convergence-radius factor.
 """
@@ -34,7 +37,6 @@ __all__ = [
     "NoValidCutError",
     "MuBound",
     "StabilityData",
-    "GENERAL_BBAR_RATIO",
     "mu_upper_cube",
     "mu_upper_yuhjtman",
     "criterion_holds",
@@ -45,10 +47,6 @@ __all__ = [
 YUHJTMAN_LO = 0.6
 YUHJTMAN_HI = 0.7
 YUHJTMAN_NUMERATOR = 24.05
-
-# For any stable tempered three-dimensional potential that is eventually
-# negative, the two stability constants satisfy B <= B-bar <= (13/12) B.
-GENERAL_BBAR_RATIO = 13.0 / 12.0
 
 BISECTION_MAX_ITER = 60
 
@@ -158,16 +156,15 @@ def mu_upper_yuhjtman(a: float, potential: PairPotential | None = None) -> MuBou
     return MuBound(a=a, value=YUHJTMAN_NUMERATOR / a**3, method="yuhjtman")
 
 
-def criterion_holds(potential: PairPotential, a: float, mu: MuBound) -> bool:
-    """Certified check of V(a) > 2*mu(a) using the upper bound on mu.
+def criterion_holds(potential: PairPotential, mu: MuBound) -> bool:
+    """Certified check of V(a) > 2*mu(a) at the bound's cut a = mu.a.
 
     True is a certificate; False is inconclusive (the bound may be loose).
+    Raises ArithmeticError when V(a) is not finite.
     """
-    if not math.isclose(mu.a, a, rel_tol=1e-12, abs_tol=0.0):
-        raise ValueError(f"mu bound was computed at a = {mu.a}, not at a = {a}")
-    value = potential(a)
+    value = potential(mu.a)
     if not math.isfinite(value):
-        raise ValueError(f"V(a) is not finite at a = {a}")
+        raise ArithmeticError(f"V(a) = {value} is not finite at a = {mu.a:g}")
     return value > 2.0 * mu.value
 
 
@@ -212,18 +209,18 @@ def find_max_a(
     if not 0 < a_lo < a_hi:
         raise ValueError(f"invalid interval [{a_lo}, {a_hi}]")
     bound_at = mu_bound_function(mu_method, potential, mu_value=mu_value)
-    if not criterion_holds(potential, a_lo, bound_at(a_lo)):
+    if not criterion_holds(potential, bound_at(a_lo)):
         raise NoValidCutError(
             f"criterion V(a) > 2*mu(a) already fails at the interval start a = {a_lo}"
         )
-    if criterion_holds(potential, a_hi, bound_at(a_hi)):
+    if criterion_holds(potential, bound_at(a_hi)):
         return a_hi
     lo, hi = a_lo, a_hi
     for _ in range(BISECTION_MAX_ITER):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if criterion_holds(potential, mid, bound_at(mid)):
+        if criterion_holds(potential, bound_at(mid)):
             lo = mid
         else:
             hi = mid

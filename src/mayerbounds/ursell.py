@@ -23,7 +23,7 @@ histories in one batched call.  Routes 3 and 4 build their own combinatorial
 tables (tree path masks, cross-block pair indicators) and share only that
 numerical kernel with each other; route 2 walks the subset lattice and
 shares nothing with them.  Agreement of all four is the identity
-check the CLI exposes.
+check, `identity_check`, that the CLI and the sweep script read.
 
 Hard cores: +inf entries must be replaced by a finite cutoff (`with_cutoff`,
 default height 30, where e^-30 is below double round-off of unit-scale sums)
@@ -33,7 +33,7 @@ before any numeric evaluation.
 from __future__ import annotations
 
 import itertools
-import json
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -54,12 +54,11 @@ __all__ = [
     "DEFAULT_HARD_CORE_CUTOFF",
     "HardCoreCutoffError",
     "InteractionMatrix",
-    "identity_routes",
+    "identity_check",
     "MAX_INTEGRAL_ROUTE_N",
     "merge_sequence_expansion",
     "merge_step_energies",
     "random_interaction_matrix",
-    "rel_diff",
     "subset_energies",
     "tree_level_coefficients",
     "ursell_graph_sum",
@@ -109,7 +108,6 @@ class InteractionMatrix:
         n: int,
         entries: Mapping[tuple[int, int], float],
         hard_core_pairs: Iterable[tuple[int, int]] = (),
-        cutoff: float | None = None,
     ) -> "InteractionMatrix":
         """Build from 1-based pair entries; missing pairs default to 0."""
         v = np.zeros((n, n))
@@ -119,25 +117,7 @@ class InteractionMatrix:
             v[i - 1, j - 1] = v[j - 1, i - 1] = val
         for i, j in hard_core_pairs:
             v[i - 1, j - 1] = v[j - 1, i - 1] = np.inf
-        return cls(n, v, cutoff)
-
-    @classmethod
-    def from_json(cls, doc: str | Mapping) -> "InteractionMatrix":
-        data = json.loads(doc) if isinstance(doc, str) else doc
-        entries = {(int(i), int(j)): float(v) for i, j, v in data.get("entries", [])}
-        hard = [(int(i), int(j)) for i, j in data.get("hard_core_pairs", [])]
-        return cls.from_entries(int(data["n"]), entries, hard)
-
-    def to_json(self) -> dict:
-        entries = []
-        hard = []
-        for i, j in pair_order(self.n):
-            val = self.values[i - 1, j - 1]
-            if np.isinf(val):
-                hard.append([i, j])
-            elif val != 0.0:
-                entries.append([i, j, float(val)])
-        return {"n": self.n, "entries": entries, "hard_core_pairs": hard}
+        return cls(n, v)
 
     def with_cutoff(self, height: float = DEFAULT_HARD_CORE_CUTOFF) -> "InteractionMatrix":
         if not height > 0:
@@ -155,22 +135,18 @@ class InteractionMatrix:
         return v
 
 
-def random_interaction_matrix(
-    n: int, seed: int, low: float = -1.0, high: float = 2.0
-) -> InteractionMatrix:
-    """Seeded random matrix with entries uniform in [low, high].
+def random_interaction_matrix(n: int, seed: int) -> InteractionMatrix:
+    """Seeded random matrix with entries uniform in [-1, 2].
 
     Seed schedule used throughout the test suite: numpy default_rng(seed),
     upper triangle drawn in pair_order.
     """
-    rng = np.random.default_rng(seed)
     v = np.zeros((n, n))
-    for i, j in pair_order(n):
-        v[i - 1, j - 1] = v[j - 1, i - 1] = rng.uniform(low, high)
-    return InteractionMatrix(n, v)
+    v[np.triu_indices(n, 1)] = np.random.default_rng(seed).uniform(-1.0, 2.0, n * (n - 1) // 2)
+    return InteractionMatrix(n, v + v.T)
 
 
-def rel_diff(x: float, y: float) -> float:
+def _rel_diff(x: float, y: float) -> float:
     """|x - y| relative to the larger magnitude; 0 when both are below 1e-12."""
     scale = max(abs(x), abs(y))
     if scale < 1e-12:
@@ -465,10 +441,20 @@ def merge_sequence_expansion(m: InteractionMatrix, beta: float) -> float:
 # the identity check
 # ---------------------------------------------------------------------------
 
-def identity_routes(m: InteractionMatrix, beta: float) -> dict[str, float]:
-    """phi_beta([n]) by every route that applies at m.n, keyed as the
-    `identity` subcommand's JSON `routes`: the graph and partition sums, plus
-    the tree and merge routes when n <= MAX_INTEGRAL_ROUTE_N."""
+def identity_check(
+    m: InteractionMatrix, beta: float
+) -> tuple[dict[str, float], dict[str, float]]:
+    """(routes, pairwise) of the identity check on m at beta.
+
+    routes holds phi_beta([n]) by every route that applies at m.n, keyed as
+    the `identity` subcommand's JSON `routes`: the graph and partition sums,
+    plus the tree and merge routes when n <= MAX_INTEGRAL_ROUTE_N.  pairwise
+    holds the relative difference of each pair of routes, keyed x_vs_y with
+    the names in sorted order, the pairs in itertools.combinations order.
+    Raises ArithmeticError naming every route whose value is not finite; a
+    simplex integral that leaves the double range raises FloatingPointError,
+    an ArithmeticError too, before any route is compared.
+    """
     routes = {
         "graph_sum": ursell_graph_sum(m, beta),
         "partition_sum": ursell_partition_sum(m, beta),
@@ -476,4 +462,11 @@ def identity_routes(m: InteractionMatrix, beta: float) -> dict[str, float]:
     if m.n <= MAX_INTEGRAL_ROUTE_N:
         routes["tree_integral"] = ursell_tree_integral(m, beta)
         routes["merge_expansion"] = merge_sequence_expansion(m, beta)
-    return routes
+    overflowed = sorted(name for name, value in routes.items() if not math.isfinite(value))
+    if overflowed:
+        raise ArithmeticError(f"{', '.join(overflowed)} not finite at beta={beta:g}")
+    pairwise = {
+        f"{x}_vs_{y}": _rel_diff(routes[x], routes[y])
+        for x, y in itertools.combinations(sorted(routes), 2)
+    }
+    return routes, pairwise

@@ -246,6 +246,26 @@ class TestBounds:
         )
         assert not caught
 
+    @pytest.mark.parametrize("argv, err", [
+        # V = inf at the quadrature nodes nearest 0: inf * 0 in the inner factors
+        (["bounds", "--a", "1e-23", "--format", "json"],
+         "c_hat_inner, c_star_inner not finite at a = 1e-23"),
+        # r^-6 overflows, so V(a) = inf - inf
+        (["bounds", "--a", "1e-300"], "V(a) = nan is not finite at a = 1e-300"),
+        # r^-12 overflows, so V(a) = inf at the interval start
+        (["criterion", "--method", "user", "--mu-value", "1", "--interval", "1e-30:0.7"],
+         "V(a) = inf is not finite at a = 1e-30"),
+    ], ids=["bounds-nodes", "bounds-cut", "criterion-start"])
+    def test_tiny_cut_is_numeric_failure(self, argv, err, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"numeric failure: {err}\n"
+        assert not caught
+
 
 class TestReproduce:
     def test_exit_zero_and_flag_set(self, capsys):

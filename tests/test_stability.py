@@ -11,7 +11,6 @@ from mayerbounds.potentials import InversePower, LennardJones, LJTypeEnvelope
 from mayerbounds import quadrature
 from mayerbounds.quadrature import QuadratureSpec, radial_integral, sphere_surface
 from mayerbounds.stability import (
-    GENERAL_BBAR_RATIO,
     MethodDomainError,
     MethodMismatchError,
     MuBound,
@@ -112,26 +111,22 @@ class TestCubeBound:
 
 class TestCriterion:
     def test_lj_certified_at_published_cut(self):
-        assert criterion_holds(LJ, 0.6397, mu_upper_yuhjtman(0.6397))
+        assert criterion_holds(LJ, mu_upper_yuhjtman(0.6397))
 
     def test_lj_fails_at_0_66(self):
         assert LJ(0.66) < 2 * 24.05 / 0.66**3
-        assert not criterion_holds(LJ, 0.66, mu_upper_yuhjtman(0.66))
+        assert not criterion_holds(LJ, mu_upper_yuhjtman(0.66))
 
     def test_repulsive_with_zero_bound(self):
         v = InversePower(1.0, 12.0)
         for a in (0.3, 1.0, 5.0):
-            assert criterion_holds(v, a, MuBound(a=a, value=0.0, method="user-supplied"))
+            assert criterion_holds(v, MuBound(a=a, value=0.0, method="user-supplied"))
 
     def test_lj_certified_at_0_3637_with_cube_bound(self):
         # the generic cube-packing bound with the documented envelope does
         # certify the small published cut
         bound = mu_upper_cube(LennardJones.default_envelope(), 0.3637)
-        assert criterion_holds(LJ, 0.3637, bound)
-
-    def test_mismatched_radius_rejected(self):
-        with pytest.raises(ValueError):
-            criterion_holds(LJ, 0.65, mu_upper_yuhjtman(0.64))
+        assert criterion_holds(LJ, bound)
 
 
 class TestFindMaxA:
@@ -142,9 +137,9 @@ class TestFindMaxA:
     def test_result_certified_and_boundary_sharp(self):
         tol = 1e-5
         best = find_max_a(LJ, "yuhjtman", (0.6, 0.7), tol=tol)
-        assert criterion_holds(LJ, best, mu_upper_yuhjtman(best))
+        assert criterion_holds(LJ, mu_upper_yuhjtman(best))
         probe = best + 2 * tol
-        assert not criterion_holds(LJ, probe, mu_upper_yuhjtman(probe))
+        assert not criterion_holds(LJ, mu_upper_yuhjtman(probe))
 
     def test_repulsive_returns_upper_end(self):
         best = find_max_a(
@@ -215,6 +210,3 @@ class TestRegistry:
         for b_upper, factor in [(math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
             with pytest.raises(ValueError):
                 StabilityData(b_lower=0.0, b_upper=b_upper, bbar_factor=factor, sources={})
-
-    def test_general_ratio(self):
-        assert GENERAL_BBAR_RATIO == pytest.approx(13.0 / 12.0)

@@ -8,7 +8,6 @@ exponential at 50 digits.
 """
 
 import itertools
-import json
 import math
 import os
 import subprocess
@@ -23,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from mayerbounds.combinatorics import SizeLimitError, enumerate_labeled_trees
+from mayerbounds.combinatorics import SizeLimitError, enumerate_labeled_trees, pair_order
 from mayerbounds.quadrature import stable_ratio
 from mayerbounds.simplex import MAX_LEVELS, simplex_integral_from_diffs
 from mayerbounds.ursell import (
@@ -31,7 +30,7 @@ from mayerbounds.ursell import (
     InteractionMatrix,
     MAX_INTEGRAL_ROUTE_N,
     MAX_PARTITION_SUM_N,
-    identity_routes,
+    identity_check,
     merge_sequence_expansion,
     merge_step_energies,
     random_interaction_matrix,
@@ -59,24 +58,8 @@ def rel_diff(x, y):
 
 
 class TestInteractionMatrix:
-    def test_json_round_trip(self):
-        m = InteractionMatrix.from_entries(
-            4, {(1, 2): 0.5, (3, 4): -1.25}, hard_core_pairs=[(1, 3)]
-        )
-        doc = m.to_json()
-        assert doc == {
-            "n": 4,
-            "entries": [[1, 2, 0.5], [3, 4, -1.25]],
-            "hard_core_pairs": [[1, 3]],
-        }
-        again = InteractionMatrix.from_json(json.dumps(doc))
-        assert np.array_equal(
-            np.nan_to_num(again.values, posinf=1e99),
-            np.nan_to_num(m.values, posinf=1e99),
-        )
-
     def test_missing_pairs_default_zero(self):
-        m = InteractionMatrix.from_json({"n": 3, "entries": [[1, 2, 1.0]]})
+        m = InteractionMatrix.from_entries(3, {(1, 2): 1.0})
         assert m.effective_values()[0, 2] == 0.0
         assert m.effective_values()[1, 2] == 0.0
 
@@ -107,6 +90,16 @@ class TestInteractionMatrix:
         assert np.array_equal(a.values, b.values)
         off_diag = a.values[~np.eye(5, dtype=bool)]
         assert np.all(off_diag >= -1.0) and np.all(off_diag <= 2.0)
+
+    def test_seeded_matrix_draws_pairs_in_pair_order(self):
+        # the schedule the docstring states, one scalar draw per pair, is the
+        # reference for the vectorised draw, bit for bit
+        for n, seed in itertools.product(range(1, 15), range(0, 50, 7)):
+            rng = np.random.default_rng(seed)
+            v = np.zeros((n, n))
+            for i, j in pair_order(n):
+                v[i - 1, j - 1] = v[j - 1, i - 1] = rng.uniform(-1.0, 2.0)
+            assert random_interaction_matrix(n, seed).values.tobytes() == v.tobytes(), (n, seed)
 
 
 class TestEnergies:
@@ -733,11 +726,26 @@ class TestFourRouteAgreement:
             assert rel_diff(ursell_tree_integral(m, beta), g) < 1e-10
             assert rel_diff(merge_sequence_expansion(m, beta), g) < 1e-10
 
-    @pytest.mark.parametrize("n", [2, 5, MAX_INTEGRAL_ROUTE_N + 1])
-    def test_identity_routes(self, n):
+    @pytest.mark.parametrize("n", range(2, MAX_INTEGRAL_ROUTE_N + 2))
+    def test_identity_check(self, n):
         m = random_interaction_matrix(n, 3)
         expected = {"graph_sum": ursell_graph_sum, "partition_sum": ursell_partition_sum}
         if n <= MAX_INTEGRAL_ROUTE_N:
             expected["tree_integral"] = ursell_tree_integral
             expected["merge_expansion"] = merge_sequence_expansion
-        assert identity_routes(m, 1.3) == {name: route(m, 1.3) for name, route in expected.items()}
+        routes, pairwise = identity_check(m, 1.3)
+        assert routes == {name: route(m, 1.3) for name, route in expected.items()}
+        pairs = list(itertools.combinations(sorted(expected), 2))
+        assert list(pairwise) == [f"{x}_vs_{y}" for x, y in pairs]
+        for x, y in pairs:
+            scale = max(abs(routes[x]), abs(routes[y]))
+            assert scale > 1e-12
+            assert pairwise[f"{x}_vs_{y}"] == abs(routes[x] - routes[y]) / scale
+
+    @pytest.mark.parametrize("n, match", [
+        (4, "overflow"),  # a simplex integral of the tree route leaves the double range
+        (7, "^graph_sum, partition_sum not finite at beta=400$"),
+    ])
+    def test_identity_check_overflow_raises(self, n, match):
+        with pytest.raises(ArithmeticError, match=match):
+            identity_check(random_interaction_matrix(n, 0), 400.0)
