@@ -237,8 +237,8 @@ def bound_pieces(
         "c_hat_inner": lambda v: beta * np.abs(v) * offset_stable_ratio(excess(v), y),
         "mps_inner_exp": lambda v: -np.expm1(-excess(v)),
     }
-    # V = inf at nodes near 0 makes inf * 0 in the factors; checked once below
-    with np.errstate(invalid="ignore"):
+    # V = inf near 0 makes inf * 0 in the factors, a large beta overflows them: checked below
+    with np.errstate(over="ignore", invalid="ignore"):
         integrals = {name: _inner_integral(potential, a, spec, g) for name, g in factors.items()}
         integrals["outer_abs"] = _outer_integral(
             potential, a, beta, spec, lambda v: beta * np.abs(v)

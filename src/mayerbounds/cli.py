@@ -25,14 +25,9 @@ import math
 import sys
 from pathlib import Path
 
-from .combinatorics import MAX_GRAPH_N, SizeLimitError
+from .combinatorics import MAX_GRAPH_N
 from .bounds import compare_report
-from .potentials import (
-    LennardJones,
-    NotBasuevAtCutError,
-    PotentialDomainError,
-    potential_from_config,
-)
+from .potentials import NotBasuevAtCutError, PotentialDomainError, potential_from_config
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
@@ -69,15 +64,19 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+class _UsageError(Exception):
+    """A rule that spans more than one argument; main reports it as parser.error."""
+
+
 def _load_potential(name_or_path: str):
-    if name_or_path in ("lennard-jones", "lj"):
-        return LennardJones()
     path = Path(name_or_path)
-    if name_or_path.endswith(".json") or path.exists():
-        try:
+    try:
+        if name_or_path in ("lennard-jones", "lj"):
+            return potential_from_config({"kind": name_or_path})
+        if name_or_path.endswith(".json") or path.exists():
             return potential_from_config(json.loads(path.read_text()))
-        except (KeyError, OSError, TypeError, ValueError) as exc:
-            raise argparse.ArgumentTypeError(f"cannot load potential {name_or_path!r}: {exc!r}")
+    except (KeyError, OSError, TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot load potential {name_or_path!r}: {exc!r}")
     raise argparse.ArgumentTypeError(
         f"unknown potential {name_or_path!r}: use 'lennard-jones' or a config file path"
     )
@@ -92,6 +91,23 @@ def _parse_interval(text: str) -> tuple[float, float]:
     if not 0 < lo < hi < math.inf:
         raise argparse.ArgumentTypeError(f"interval needs finite 0 < lo < hi, got {text!r}")
     return lo, hi
+
+
+def _number(kind=float, lo=0, *, strict=False, hi=math.inf):
+    """argparse type: a finite `kind` value in [lo, hi], or in (lo, hi] if strict."""
+    domain = f"{'(' if strict else '['}{lo}, {hi}{']' if hi < math.inf else ')'}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+        # NaN fails both comparisons
+        if not (lo < value <= hi if strict else lo <= value <= hi) or math.isinf(value):
+            raise argparse.ArgumentTypeError(f"must be in {domain}, got {value!r}")
+        return value
+
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +153,8 @@ def cmd_identity(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_criterion(args) -> int:
+    if args.method == "user" and args.mu_value is None:
+        raise _UsageError("--method user needs --mu-value")
     potential = args.potential
     lo, hi = args.interval
     bound_at = mu_bound_function(args.method, potential, mu_value=args.mu_value)
@@ -184,14 +202,12 @@ def cmd_criterion(args) -> int:
 # bounds
 # ---------------------------------------------------------------------------
 
-def _stability_from_args(args, parser: argparse.ArgumentParser) -> StabilityData:
+def _stability_from_args(args) -> StabilityData:
     registry = lj_stability_registry()
     is_lj = args.potential.kind == "lennard-jones"
-    b_upper = args.b_upper
-    if b_upper is None:
-        if not is_lj:
-            parser.error("--b-upper is required for potentials other than lennard-jones")
-        b_upper = registry.b_upper
+    if args.b_upper is None and not is_lj:
+        raise _UsageError("--b-upper is required for potentials other than lennard-jones")
+    b_upper = registry.b_upper if args.b_upper is None else args.b_upper
     factor = args.bbar_factor
     if factor is None:
         factor = registry.bbar_factor if is_lj else 1.0
@@ -199,12 +215,9 @@ def _stability_from_args(args, parser: argparse.ArgumentParser) -> StabilityData
     return StabilityData(b_lower=0.0, b_upper=b_upper, bbar_factor=factor, sources={})
 
 
-def cmd_bounds(args, parser) -> int:
-    try:
-        stability = _stability_from_args(args, parser)
-        spec = QuadratureSpec(rel_tol=args.rel_tol) if args.rel_tol is not None else None
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_bounds(args) -> int:
+    stability = _stability_from_args(args)
+    spec = QuadratureSpec(rel_tol=args.rel_tol) if args.rel_tol is not None else None
     try:
         report = compare_report(args.potential, args.beta, args.a, stability, spec)
     except NotBasuevAtCutError as exc:
@@ -272,38 +285,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("table", "json", "csv")):
+    def add_common(p, run, formats=("table", "json", "csv")):
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=formats, default="table")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p_id = sub.add_parser("identity", help="multi-route Ursell coefficient check")
-    p_id.add_argument("--n", type=int, required=True)
-    p_id.add_argument("--beta", type=float, default=1.0)
-    p_id.add_argument("--seed", type=int, default=0)
-    p_id.add_argument("--tol", type=float, default=1e-5)
-    add_common(p_id, formats=("table", "json"))
+    p_id.add_argument("--n", type=_number(int, 2, hi=MAX_GRAPH_N), required=True)
+    p_id.add_argument("--beta", type=_number(), default=1.0)
+    p_id.add_argument("--seed", type=_number(int), default=0)
+    p_id.add_argument("--tol", type=_number(), default=1e-5)
+    add_common(p_id, cmd_identity, formats=("table", "json"))
 
     p_cr = sub.add_parser("criterion", help="largest certified cut radius")
     p_cr.add_argument("--potential", type=_load_potential, default="lennard-jones")
     p_cr.add_argument("--method", choices=("cube", "yuhjtman", "user"), default="yuhjtman")
     p_cr.add_argument("--interval", type=_parse_interval, default=(0.6, 0.7))
-    p_cr.add_argument("--tol", type=float, default=1e-6)
-    p_cr.add_argument("--mu-value", type=float, default=None,
+    p_cr.add_argument("--tol", type=_number(), default=1e-6)
+    p_cr.add_argument("--mu-value", type=_number(), default=None,
                       help="constant certified mu bound (method=user)")
-    add_common(p_cr, formats=("table", "json"))
+    add_common(p_cr, cmd_criterion, formats=("table", "json"))
 
     p_bd = sub.add_parser("bounds", help="convergence-radius bound report")
     p_bd.add_argument("--potential", type=_load_potential, default="lennard-jones")
-    p_bd.add_argument("--beta", type=float, default=1.0)
+    p_bd.add_argument("--beta", type=_number(strict=True), default=1.0)
     p_bd.add_argument("--a", type=float, required=True)
-    p_bd.add_argument("--b-upper", type=float, default=None)
-    p_bd.add_argument("--bbar-factor", type=float, default=None)
-    p_bd.add_argument("--rel-tol", type=float, default=None)
-    add_common(p_bd)
+    p_bd.add_argument("--b-upper", type=_number(), default=None)
+    p_bd.add_argument("--bbar-factor", type=_number(lo=1), default=None)
+    p_bd.add_argument("--rel-tol", type=_number(strict=True), default=None)
+    add_common(p_bd, cmd_bounds)
 
     p_rp = sub.add_parser("reproduce", help="recompute the published reference constants")
     p_rp.add_argument("--section", choices=(*SECTIONS, "all"), default="all")
-    add_common(p_rp)
+    add_common(p_rp, cmd_reproduce)
 
     return parser
 
@@ -311,36 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "identity" and not 2 <= args.n <= MAX_GRAPH_N:
-        parser.error(f"identity check supports 2 <= n <= {MAX_GRAPH_N}, got n={args.n}")
-    if args.command == "identity" and args.seed < 0:
-        parser.error(f"--seed must be non-negative, got {args.seed}")
-    if args.command == "identity" and not (math.isfinite(args.beta) and args.beta >= 0):
-        parser.error(f"beta must be finite and non-negative, got {args.beta!r}")
-    if args.command in ("identity", "criterion") and not 0 <= args.tol < math.inf:
-        parser.error(f"--tol must be finite and non-negative, got {args.tol!r}")
-    if args.command == "criterion" and args.method == "user":
-        try:
-            mu_bound_function("user", args.potential, mu_value=args.mu_value)
-        except ValueError as exc:
-            parser.error(f"--mu-value: {exc}")
-    if args.command == "bounds" and not (math.isfinite(args.beta) and args.beta > 0):
-        parser.error(f"beta must be finite and positive, got {args.beta!r}")
     try:
-        if args.command == "identity":
-            return cmd_identity(args)
-        if args.command == "criterion":
-            return cmd_criterion(args)
-        if args.command == "bounds":
-            return cmd_bounds(args, parser)
-        if args.command == "reproduce":
-            return cmd_reproduce(args)
-    except (MethodDomainError, MethodMismatchError, PotentialDomainError, SizeLimitError) as exc:
+        return args.run(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
+    except (MethodDomainError, MethodMismatchError, PotentialDomainError) as exc:
         parser.exit(EXIT_USAGE, f"usage error: {exc}\n")
     except (QuadratureConvergenceError, TemperednessError, ArithmeticError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

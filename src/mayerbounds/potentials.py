@@ -16,6 +16,7 @@ All evaluators accept numpy arrays and are safe to share across threads
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -40,6 +41,13 @@ class PotentialDomainError(ValueError):
 
 class NotBasuevAtCutError(ValueError):
     """V(r) >= V(a) > 0 fails on (0, a] at the requested cut radius."""
+
+
+def _dimension(d) -> int:
+    """d as a positive int: an integral float such as 3.0 counts, a bool does not."""
+    if isinstance(d, bool) or not (isinstance(d, numbers.Real) and 1 <= d < np.inf and d % 1 == 0):
+        raise ValueError(f"dimension d must be a positive integer, got {d!r}")
+    return int(d)
 
 
 class PairPotential:
@@ -145,6 +153,7 @@ class InversePower(PairPotential):
     def __post_init__(self):
         if not (0 <= self.coefficient < np.inf and 0 < self.exponent < np.inf):
             raise ValueError("inverse power needs a finite coefficient >= 0 and exponent > 0")
+        object.__setattr__(self, "d", _dimension(self.d))
 
     def _evaluate(self, r):
         return self.coefficient * r ** (-self.exponent)
@@ -220,6 +229,7 @@ class TabulatedPotential(PairPotential):
         if not radii or not np.all(np.isfinite(self.knots)) or any(r <= 0 for r in radii) \
                 or sorted(radii) != radii:
             raise ValueError("knots must be finite and sorted, with positive radii")
+        object.__setattr__(self, "d", _dimension(self.d))
         object.__setattr__(self, "_radii", np.array(radii))
         object.__setattr__(self, "_values", np.array([v for _, v in self.knots]))
 
@@ -295,6 +305,7 @@ class LJTypeEnvelope:
             )
         if self.r1 > self.r2:
             raise ValueError("need r1 <= r2")
+        object.__setattr__(self, "d", _dimension(self.d))
 
     def repulsive_floor(self, r):
         return self.c_repulsion * np.asarray(r, dtype=float) ** -(self.d + self.decay_surplus)
@@ -318,17 +329,18 @@ def potential_from_config(config: Mapping) -> PairPotential:
     if not isinstance(config, Mapping):
         raise ValueError(f"a potential config must be a JSON object, got {type(config).__name__}")
     kind = config.get("kind")
-    d = int(config.get("d", 3))
+    d = config.get("d", 3)
     if kind in ("lennard-jones", "lj"):
+        if _dimension(d) != 3:
+            raise ValueError(f"the Lennard-Jones potential is three-dimensional, got d = {d!r}")
         return LennardJones()
     if kind == "inverse-power":
         return InversePower(coefficient=float(config["C"]), exponent=float(config["p"]), d=d)
     if kind == "hard-core":
-        return HardCoreWrap(
-            tail=potential_from_config(config["tail"]),
-            core_radius=float(config["a"]),
-            height=float(config["H"]),
-        )
+        tail = potential_from_config(config["tail"])
+        if "d" in config and _dimension(d) != tail.d:
+            raise ValueError(f"hard-core d = {d!r} differs from its tail's d = {tail.d}")
+        return HardCoreWrap(tail=tail, core_radius=float(config["a"]), height=float(config["H"]))
     if kind == "tabulated":
         knots = tuple((float(r), float(v)) for r, v in config["knots"])
         return TabulatedPotential(knots=knots, d=d)

@@ -72,14 +72,6 @@ class QuadratureSpec:
         if not (0 < self.tail_cut < math.inf and 1 <= self.max_subdivisions < math.inf):
             raise ValueError("invalid tail cut or subdivision budget")
 
-    def halved(self) -> "QuadratureSpec":
-        return QuadratureSpec(
-            rel_tol=self.rel_tol / 2.0,
-            abs_tol=self.abs_tol / 2.0,
-            tail_cut=self.tail_cut,
-            max_subdivisions=self.max_subdivisions,
-        )
-
 
 DEFAULT_SPEC = QuadratureSpec()
 

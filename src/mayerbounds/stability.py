@@ -50,6 +50,14 @@ YUHJTMAN_NUMERATOR = 24.05
 
 BISECTION_MAX_ITER = 60
 
+# the mu-bound methods that hold only for the classical Lennard-Jones potential
+_LJ_ONLY_METHODS = {
+    "cube": "the cube method uses the Lennard-Jones envelope; for potential kind {kind!r} "
+            "call mu_upper_cube(envelope, a) with its own envelope",
+    "yuhjtman": "the 24.05/a^3 bound is specific to the classical Lennard-Jones "
+                "potential, not {kind!r}",
+}
+
 
 class MethodDomainError(ValueError):
     """Cut radius outside the validity domain of the chosen mu-bound method."""
@@ -141,13 +149,8 @@ def mu_upper_cube(envelope: LJTypeEnvelope, a: float) -> MuBound:
     return MuBound(a=a, value=value, method="cube-packing")
 
 
-def mu_upper_yuhjtman(a: float, potential: PairPotential | None = None) -> MuBound:
+def mu_upper_yuhjtman(a: float) -> MuBound:
     """Lennard-Jones bound mu(a) <= 24.05/a^3, valid on 0.6 <= a <= 0.7."""
-    if potential is not None and potential.kind != "lennard-jones":
-        raise MethodMismatchError(
-            f"the 24.05/a^3 bound is specific to the classical Lennard-Jones "
-            f"potential, not {potential.kind!r}"
-        )
     if not YUHJTMAN_LO <= a <= YUHJTMAN_HI:
         raise MethodDomainError(
             f"the 24.05/a^3 bound is valid only for "
@@ -175,16 +178,13 @@ def mu_bound_function(
     mu_value: float | None = None,
 ) -> Callable[[float], MuBound]:
     """Resolve a mu-bound method name to a callable a -> MuBound."""
+    if method in _LJ_ONLY_METHODS and potential.kind != "lennard-jones":
+        raise MethodMismatchError(_LJ_ONLY_METHODS[method].format(kind=potential.kind))
     if method == "cube":
-        if potential.kind != "lennard-jones":
-            raise MethodMismatchError(
-                "the cube method uses the Lennard-Jones envelope; for potential kind "
-                f"{potential.kind!r} call mu_upper_cube(envelope, a) with its own envelope"
-            )
         envelope = LennardJones.default_envelope()
         return lambda a: mu_upper_cube(envelope, a)
     if method == "yuhjtman":
-        return lambda a: mu_upper_yuhjtman(a, potential)
+        return mu_upper_yuhjtman
     if method == "user":
         if mu_value is None or not mu_value >= 0:  # NaN fails too
             raise ValueError(f"user method requires a non-negative mu_value, got {mu_value!r}")

@@ -11,6 +11,7 @@ import ast
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -132,7 +133,7 @@ class TestPenroseRuelle:
     def test_lj_finite_and_stable_under_tolerance_halving(self):
         spec = QuadratureSpec()
         c1, r1 = penrose_ruelle(LJ, 1.0, REGISTRY.b_upper, spec)
-        c2, _ = penrose_ruelle(LJ, 1.0, REGISTRY.b_upper, spec.halved())
+        c2, _ = penrose_ruelle(LJ, 1.0, REGISTRY.b_upper, replace(spec, rel_tol=spec.rel_tol / 2, abs_tol=spec.abs_tol / 2))
         assert 0 < c1 < math.inf and 0 < r1 < math.inf
         assert math.isclose(c1, c2, rel_tol=1e-7)
 

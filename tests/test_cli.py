@@ -1,5 +1,7 @@
 """CLI subcommands: exit codes, output formats, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mayerbounds.cli import main
 
@@ -65,7 +69,10 @@ class TestIdentity:
         with pytest.raises(SystemExit) as info:
             main(["identity", "--n", "3", "--beta", beta])
         assert info.value.code == 2
-        assert "beta must be finite and non-negative" in capsys.readouterr().err
+        assert (
+            f"mayerbounds identity: error: argument --beta: must be in [0, inf), "
+            f"got {float(beta)!r}\n"
+        ) in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_overflow_is_numeric_failure(self, n, capsys):
@@ -179,9 +186,9 @@ class TestBounds:
         assert info.value.code == 2
         assert captured.out == ""
         assert not caught
-        usage, error = captured.err.split("\nmayerbounds: error: ")
-        assert usage.startswith("usage: mayerbounds")
-        assert error == f"beta must be finite and positive, got {float(beta)!r}\n"
+        usage, error = captured.err.split("\nmayerbounds bounds: error: ")
+        assert usage.startswith("usage: mayerbounds bounds")
+        assert error == f"argument --beta: must be in (0, inf), got {float(beta)!r}\n"
 
     def test_csv_format(self, capsys):
         code, out = run(["bounds", "--a", "0.6397", "--format", "csv"], capsys)
@@ -347,13 +354,30 @@ class TestUsage:
         (None, ["bounds", "--a", "0.6397", "--rel-tol", "-1"]),
         (None, ["bounds", "--a", "0.6397", "--rel-tol", "0"]),
         (None, ["bounds", "--a", "0.6397", "--rel-tol", "nan"]),
+        ('{"kind": "inverse-power", "C": 1, "p": 12, "d": 0}',
+         ["bounds", "--a", "0.5", "--b-upper", "1", "--potential", "cfg.json"]),
+        ('{"kind": "inverse-power", "C": 1, "p": 12, "d": -2}',
+         ["bounds", "--a", "0.5", "--b-upper", "1", "--potential", "cfg.json"]),
+        ('{"kind": "inverse-power", "C": 1, "p": 12, "d": -2}',
+         ["criterion", "--method", "user", "--mu-value", "0", "--interval", "0.2:0.9",
+          "--potential", "cfg.json"]),
+        ('{"kind": "inverse-power", "C": 1, "p": 12, "d": 2.5}',
+         ["bounds", "--a", "0.5", "--b-upper", "1", "--potential", "cfg.json"]),
+        ('{"kind": "tabulated", "knots": [[0.3, 10], [0.6, 5]], "d": true}',
+         ["bounds", "--a", "0.5", "--b-upper", "1", "--potential", "cfg.json"]),
+        ('{"kind": "lj", "d": 2}', ["bounds", "--a", "0.6397", "--potential", "cfg.json"]),
+        ('{"kind": "hard-core", "a": 0.5, "H": 3, "d": 2, "tail": {"kind": "lj"}}',
+         ["bounds", "--a", "0.6", "--b-upper", "1", "--potential", "cfg.json"]),
+        (None, ["criterion", "--method", "user", "--mu-value", "inf"]),
     ], ids=["missing-file", "not-an-object", "missing-key", "tail-not-an-object",
             "infinite-knot", "nan-core-height", "infinite-coefficient", "user-without-mu",
             "user-negative-mu", "user-nan-mu", "interval-at-zero", "interval-to-inf",
             "criterion-nan-tol", "criterion-negative-tol", "identity-nan-tol",
             "identity-negative-tol", "identity-inf-tol", "identity-negative-seed",
             "negative-b-upper", "nan-b-upper", "inf-b-upper", "removed-b-lower", "bbar-factor-below-one", "nan-bbar-factor",
-            "inf-bbar-factor", "negative-rel-tol", "zero-rel-tol", "nan-rel-tol"])
+            "inf-bbar-factor", "negative-rel-tol", "zero-rel-tol", "nan-rel-tol",
+            "zero-d", "negative-d", "criterion-negative-d", "fractional-d", "bool-d",
+            "two-dimensional-lj", "hard-core-d-differs-from-tail", "user-inf-mu"])
     def test_bad_input_is_usage_error_without_traceback(self, config, argv, tmp_path):
         if config is not None:
             (tmp_path / "cfg.json").write_text(config)
@@ -364,6 +388,31 @@ class TestUsage:
         error = proc.stderr.split("error: ", 1)[1]
         assert error.count("\n") == 1 and error.endswith("\n")
 
+    @pytest.mark.parametrize("config, argv, err", [
+        (None, ["identity", "--n", "7", "--beta", "5000", "--seed", "0"],
+         "graph_sum, partition_sum not finite at beta=5000"),
+        # the tree route's simplex integral raises before the exact routes are checked
+        (None, ["identity", "--n", "3", "--beta", "20000"], "overflow encountered in exp"),
+        (None, ["bounds", "--a", "0.3", "--beta", "1e300"],
+         "c_hat_inner, c_star_inner not finite at a = 0.3"),
+        ('{"kind": "tabulated", "knots": [[1e-300, 1e300], [1e300, -1.0]]}',
+         ["bounds", "--a", "0.1", "--b-upper", "1", "--potential", "cfg.json"],
+         "outer_abs not finite at a = 0.1"),
+    ], ids=["identity-n7", "identity-n3", "bounds-lj", "bounds-tabulated"])
+    def test_overflow_is_one_numeric_failure_line(self, config, argv, err, tmp_path, capsys,
+                                                  monkeypatch):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"numeric failure: {err}\n"
+        assert not caught
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
@@ -373,3 +422,96 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["bounds", "--a", "0.5", "--potential", "nonsense"])
         assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract over a pool of argument vectors
+# ---------------------------------------------------------------------------
+
+NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e-320", "1e-300", "0.3", "1", "2.7", "50",
+           "5000", "1e300"]
+FUZZ_CONFIGS = {
+    "inverse-power": {"kind": "inverse-power", "C": 1, "p": 12},
+    "inverse-power-d2": {"kind": "inverse-power", "C": 1, "p": 12, "d": 2},
+    "inverse-power-d0": {"kind": "inverse-power", "C": 1, "p": 12, "d": 0},
+    "inverse-power-d-2": {"kind": "inverse-power", "C": 1, "p": 12, "d": -2},
+    "inverse-power-d2.5": {"kind": "inverse-power", "C": 1, "p": 12, "d": 2.5},
+    "inverse-power-dtrue": {"kind": "inverse-power", "C": 1, "p": 12, "d": True},
+    "lj-d2": {"kind": "lj", "d": 2},
+    "hard-core": {"kind": "hard-core", "a": 0.5, "H": 3, "tail": {"kind": "lj"}},
+    "hard-core-d2": {"kind": "hard-core", "a": 0.5, "H": 3, "d": 2, "tail": {"kind": "lj"}},
+    "tabulated": {"kind": "tabulated", "knots": [[0.3, 10], [0.6, 5], [1.5, -1], [2, 0]]},
+    "tabulated-huge": {"kind": "tabulated", "knots": [[1e-300, 1e300], [1e300, -1.0]]},
+}
+POTENTIALS = ["lj", "lennard-jones", "nonsense", "missing.json", *FUZZ_CONFIGS]
+FORMATS = ["table", "json", "csv"]
+
+
+def _maybe(flag, pool):
+    """Either nothing or [flag, value] with value drawn from pool."""
+    return st.one_of(st.just([]), st.sampled_from(pool).map(lambda value: [flag, value]))
+
+
+def _command(name, *options):
+    return st.tuples(*options).map(lambda parts: [name, *(t for part in parts for t in part)])
+
+
+CLI_ARGV = st.one_of(
+    _command(
+        "identity", _maybe("--n", [str(n) for n in range(-1, 9)]), _maybe("--beta", NUMBERS),
+        _maybe("--seed", ["-1", "0", "3"]), _maybe("--tol", NUMBERS), _maybe("--format", FORMATS),
+    ),
+    _command(
+        "criterion", _maybe("--potential", POTENTIALS),
+        _maybe("--method", ["cube", "yuhjtman", "user"]),
+        _maybe("--interval", ["0.6:0.7", "0.3:0.7", "0.2:0.9", "0.65:0.7", "1e-30:0.7",
+                              "0:0.5", "0.7:0.6", "0.6:inf", "nan:0.7", "junk"]),
+        _maybe("--tol", NUMBERS), _maybe("--mu-value", NUMBERS), _maybe("--format", FORMATS),
+    ),
+    _command(
+        "bounds", _maybe("--potential", POTENTIALS), _maybe("--beta", NUMBERS),
+        _maybe("--a", [*NUMBERS, "0.6397", "0.3637"]), _maybe("--b-upper", NUMBERS),
+        _maybe("--bbar-factor", NUMBERS), _maybe("--rel-tol", NUMBERS),
+        _maybe("--format", FORMATS),
+    ),
+    _command("reproduce", _maybe("--section", ["5.2", "5.3", "all", "9.9"]),
+             _maybe("--format", FORMATS)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_config_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("configs")
+    for name, config in FUZZ_CONFIGS.items():
+        (directory / f"{name}.json").write_text(json.dumps(config))
+    return directory
+
+
+def _reject_constant(constant):
+    raise ValueError(f"non-finite JSON constant {constant}")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=CLI_ARGV)
+def test_cli_contract(argv, fuzz_config_dir):
+    # every argv ends in exit 0-3 without a traceback or a warning; json
+    # output is strict JSON; a failed run prints nothing on stdout
+    argv = [str(fuzz_config_dir / f"{arg}.json") if arg in FUZZ_CONFIGS else arg
+            for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    if code == 0 and "json" in argv:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    if code in (2, 3):
+        assert out.getvalue() == ""
+    if code == 3:
+        assert err.getvalue().startswith("numeric failure:")
+        assert err.getvalue().count("\n") == 1

@@ -329,6 +329,30 @@ class TestTabulated:
             TabulatedPotential(knots=knots)
 
 
+class TestDimension:
+    @pytest.mark.parametrize("d", [0, -2, 2.5, True, "3", math.inf, math.nan])
+    def test_non_positive_integer_rejected(self, d):
+        with pytest.raises(ValueError, match="dimension d"):
+            InversePower(1.0, 12.0, d=d)
+        with pytest.raises(ValueError, match="dimension d"):
+            TabulatedPotential(knots=((1.0, 2.0),), d=d)
+        with pytest.raises(ValueError, match="dimension d"):
+            LJTypeEnvelope(0.5, 2.0, 0.8, 1.0, 1.0, 3.0, d=d)
+
+    def test_integral_float_counts_as_int(self):
+        v = InversePower(1.0, 12.0, d=2.0)
+        assert v.d == 2 and type(v.d) is int
+        assert potential_from_config({"kind": "inverse-power", "C": 1, "p": 12, "d": 2.0}).d == 2
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "lj", "d": 2},
+        {"kind": "hard-core", "a": 0.5, "H": 3, "d": 2, "tail": {"kind": "lj"}},
+    ], ids=["two-dimensional-lj", "hard-core-d-differs-from-tail"])
+    def test_kind_that_cannot_have_d_rejected(self, config):
+        with pytest.raises(ValueError):
+            potential_from_config(config)
+
+
 class TestConfig:
     def test_lennard_jones(self):
         v = potential_from_config({"kind": "lennard-jones"})

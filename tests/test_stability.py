@@ -40,8 +40,8 @@ class TestYuhjtmanBound:
 
     def test_method_mismatch(self):
         with pytest.raises(MethodMismatchError):
-            mu_upper_yuhjtman(0.65, potential=InversePower(1.0, 12.0))
-        assert mu_upper_yuhjtman(0.65, potential=LJ).method == "yuhjtman"
+            mu_bound_function("yuhjtman", InversePower(1.0, 12.0))
+        assert mu_bound_function("yuhjtman", LJ)(0.65).method == "yuhjtman"
 
     def test_strictly_decreasing(self):
         grid = np.linspace(0.6, 0.7, 50)
