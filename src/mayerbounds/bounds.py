@@ -35,6 +35,7 @@ inf.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -97,20 +98,29 @@ def h_factor(u):
 # shared integral pieces
 # ---------------------------------------------------------------------------
 
-def _outer_integral(potential, lo, beta, spec, g) -> tuple[float, float]:
+def _outer_integral(potential, lo, beta, spec, g, *, exp_tail=False) -> tuple[float, float]:
     """(value, err) of int_{|x|>=lo} g(V(|x|)), with g(v) = beta |v| + O(v^2):
     beta |V| from lo = a is the outer piece, |e^{-beta V} - 1| from lo = 0 the
     Penrose-Ruelle integral.  Past the tail cut g is taken as beta |V| in closed
     form; the cut moves out to the last feature radius when that lies past it,
     since tail_terms() hold (and V keeps one sign) only beyond every one.
+
+    `exp_tail` marks g = |e^{-beta V} - 1|, which exceeds beta |V| where V < 0.
+    An attractive tail is then scaled by e^{beta M}, M = sum |c_i| cut^-p_i:
+    for r >= cut, |V| <= M and e^{beta |V|} - 1 <= beta |V| e^{beta |V|}, so
+    the closed form bounds the tail from above.
     """
     radii = potential.feature_radii()
     if max(radii, default=0.0) > spec.tail_cut:
         spec = replace(spec, tail_cut=max(radii))
     tail = potential.tail_terms()
     if tail is not None:
-        sign = 1.0 if potential(spec.tail_cut) >= 0.0 else -1.0
-        tail = tuple((beta * sign * c, p) for c, p in tail)
+        scale = beta * (1.0 if potential(spec.tail_cut) >= 0.0 else -1.0)
+        if exp_tail and scale < 0.0:
+            bound = sum(abs(c) * spec.tail_cut ** -p for c, p in tail)
+            with np.errstate(over="ignore"):
+                scale *= float(np.exp(beta * bound))
+        tail = tuple((scale * c, p) for c, p in tail)
     return radial_integral(
         lambda r: g(potential(r)),
         potential.d,
@@ -122,12 +132,19 @@ def _outer_integral(potential, lo, beta, spec, g) -> tuple[float, float]:
     )
 
 
+# (potential, beta, spec) keys: an a-scan at fixed beta pays for C(beta) once
+_PENROSE_RUELLE_CACHE = 64
+
+
+@functools.lru_cache(maxsize=_PENROSE_RUELLE_CACHE)
 def _penrose_ruelle_integral(potential, beta, spec) -> tuple[float, float]:
-    """(value, err) of C(beta) = int |e^{-beta V} - 1| over R^d.  Raises
-    ArithmeticError when it overflows (beta past ~709 for LJ)."""
+    """(value, err) of C(beta) = int |e^{-beta V} - 1| over R^d, cached per
+    (potential, beta, spec); potentials and specs are immutable, so a cached
+    value has the bits of a fresh one.  Raises ArithmeticError when it
+    overflows (beta past ~709 for LJ); a raise is not cached."""
     with np.errstate(over="ignore"):
         value, err = _outer_integral(
-            potential, 0.0, beta, spec, lambda v: np.abs(np.expm1(-beta * v))
+            potential, 0.0, beta, spec, lambda v: np.abs(np.expm1(-beta * v)), exp_tail=True
         )
     if not math.isfinite(value + err):
         raise ArithmeticError(f"the Penrose-Ruelle integral overflows at beta = {beta:g}")
@@ -135,9 +152,11 @@ def _penrose_ruelle_integral(potential, beta, spec) -> tuple[float, float]:
 
 
 def _inner_integral(potential, a, spec, g) -> tuple[float, float]:
-    """(value, err) of int_{|x|<=a} g(V(|x|)), with the edge ladder at a."""
+    """(value, err) of int_{|x|<=a} g(V(|x|)), with panel breaks on the edge
+    ladder at a and at every feature radius inside (0, a)."""
+    breakpoints = edge_ladder(0.0, a) + [r for r in potential.feature_radii() if 0.0 < r < a]
     return radial_integral(
-        lambda r: g(potential(r)), potential.d, 0.0, a, spec, breakpoints=edge_ladder(0.0, a)
+        lambda r: g(potential(r)), potential.d, 0.0, a, spec, breakpoints=breakpoints
     )
 
 
@@ -264,10 +283,14 @@ def penrose_ruelle(
 ) -> tuple[float, float]:
     """(C(beta), radius) of the Penrose-Ruelle bound for a stable tempered V.
 
-    The tail of |e^{-beta V} - 1| is integrated as beta |V| in closed form;
-    the neglected higher orders are below (beta |V(cut)|)^2/2, which the
-    default cut keeps far under the quadrature tolerance.  Raises
-    ArithmeticError when C overflows.
+    Past the tail cut, |e^{-beta V} - 1| is integrated in closed form from
+    an upper bound.  A repulsive tail is taken as beta V, which exceeds
+    1 - e^{-beta V} by at most (beta V)^2/2.  An attractive tail is taken as
+    beta |V| e^{beta M}, with M = sum |c_i| cut^-p_i >= |V| past the cut,
+    since e^x - 1 <= x e^x; at the default cut of 50, e^{beta M} - 1 is
+    1.3e-10 beta for Lennard-Jones.  C is computed once per (potential,
+    beta, spec) and shared with compare_report.  Raises ArithmeticError when
+    C overflows.
     """
     value, _ = _penrose_ruelle_integral(potential, beta, spec or DEFAULT_SPEC)
     return value, _radius(_star_terms(value, beta, 2.0 * b))

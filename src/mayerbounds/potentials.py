@@ -225,6 +225,9 @@ class TabulatedPotential(PairPotential):
     _values: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # a tuple of float pairs whatever sequence was given, so the potential
+        # is hashable (the bound integrals are cached per potential)
+        object.__setattr__(self, "knots", tuple((float(r), float(v)) for r, v in self.knots))
         radii = [r for r, _ in self.knots]
         if not radii or not np.all(np.isfinite(self.knots)) or any(r <= 0 for r in radii) \
                 or sorted(radii) != radii:
@@ -342,6 +345,5 @@ def potential_from_config(config: Mapping) -> PairPotential:
             raise ValueError(f"hard-core d = {d!r} differs from its tail's d = {tail.d}")
         return HardCoreWrap(tail=tail, core_radius=float(config["a"]), height=float(config["H"]))
     if kind == "tabulated":
-        knots = tuple((float(r), float(v)) for r, v in config["knots"])
-        return TabulatedPotential(knots=knots, d=d)
+        return TabulatedPotential(knots=config["knots"], d=d)
     raise ValueError(f"unknown potential kind: {kind!r}")

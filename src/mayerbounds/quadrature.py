@@ -10,15 +10,16 @@ Integrand contract: f receives one flat float array holding the nodes of many
 panels and must be elementwise, returning an array of the same shape whose
 entry i depends on entry i of the input only.  The engine makes one call for
 all seed panels and one call per split (both children), so the numpy
-dispatch cost of an integrand is paid once per step.  Each panel's sums stay
-separate `np.dot` reductions over its own nodes, so the result does not
-depend on how many panels share a call.
+dispatch cost of an integrand is paid once per step.  The two rule sums of
+every panel in a call come from one row-wise reduction, each row summed on
+its own, so the result does not depend on how many panels share a call.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -145,24 +146,25 @@ def _mirrored(nodes: Sequence[float], weights: Sequence[float]) -> tuple[np.ndar
 
 _X16, _W16 = _mirrored(_GL16_NODES, _GL16_WEIGHTS)
 _X32, _W32 = _mirrored(_GL32_NODES, _GL32_WEIGHTS)
-# the 48 nodes of one panel: the 16-point rule, then the 32-point rule
+# the 48 nodes of one panel and their weights: the 16-point rule, then the 32-point rule
 _NODES = np.concatenate([_X16, _X32])
+_WEIGHTS = np.concatenate([_W16, _W32])
 
 
 def _panels(
-    f: Callable[[np.ndarray], np.ndarray], spans: Sequence[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    """(GL32 value, |GL32 - GL16|) on each [a, b] in spans, from one call of f."""
-    halves = [0.5 * (b - a) for a, b in spans]
-    mids = np.array([0.5 * (a + b) for a, b in spans])
-    x = mids[:, None] + np.array(halves)[:, None] * _NODES
-    values = np.asarray(f(x.ravel())).reshape(x.shape)
-    out = []
-    for half, row in zip(halves, values):
-        coarse = half * float(np.dot(_W16, row[:16]))
-        fine = half * float(np.dot(_W32, row[16:]))
-        out.append((fine, abs(fine - coarse)))
-    return out
+    f: Callable[[np.ndarray], np.ndarray], lefts: Sequence[float], rights: Sequence[float]
+) -> tuple[list[float], list[float]]:
+    """(GL32 values, |GL32 - GL16| errors) of the panels [lefts[i], rights[i]],
+    from one call of f and one row-wise sum per rule over all panels."""
+    lo = np.asarray(lefts, dtype=float)
+    hi = np.asarray(rights, dtype=float)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    values = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
+    products = values.reshape(-1, _NODES.size) * _WEIGHTS
+    coarse = half * products[:, :16].sum(axis=1)
+    fine = half * products[:, 16:].sum(axis=1)
+    return fine.tolist(), np.abs(fine - coarse).tolist()
 
 
 def integrate_adaptive(
@@ -193,15 +195,17 @@ def integrate_adaptive(
             edges.append(p)
     edges.append(hi)
 
-    spans = list(zip(edges[:-1], edges[1:]))
-    heap: list[tuple[float, float, float, float, float]] = []
+    # panels are disjoint, so no two heap entries tie and heapify pops them in
+    # the order that pushing them one by one would
+    values, errors = _panels(f, edges[:-1], edges[1:])
+    heap = [(-e, a, b, v, e) for a, b, v, e in zip(edges[:-1], edges[1:], values, errors)]
+    heapq.heapify(heap)
     total = 0.0
     total_err = 0.0
-    for (a, b), (value, err) in zip(spans, _panels(f, spans)):
-        heapq.heappush(heap, (-err, a, b, value, err))
+    for value, err in zip(values, errors):
         total += value
         total_err += err
-    n_panels = len(spans)
+    n_panels = len(heap)
 
     while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
         if n_panels >= spec.max_subdivisions or not heap:
@@ -222,8 +226,8 @@ def integrate_adaptive(
             total += value
             total_err += err
             continue
-        children = ((a, mid), (mid, b))
-        for (aa, bb), (v, e) in zip(children, _panels(f, children)):
+        values, errors = _panels(f, (a, mid), (mid, b))
+        for aa, bb, v, e in zip((a, mid), (mid, b), values, errors):
             heapq.heappush(heap, (-e, aa, bb, v, e))
             total += v
             total_err += e
@@ -303,14 +307,42 @@ def power_tail_integral(tail: Sequence[tuple[float, float]], d: int, start: floa
     return sphere_surface(d) * total
 
 
+# log of the smallest normal double
+_LOG_TINY = math.log(sys.float_info.min)
+
+
+def _below_range(quantity: str, d: int) -> ArithmeticError:
+    return ArithmeticError(f"the {quantity} in d = {d:.16g} is below the normal double range")
+
+
 def sphere_surface(d: int) -> float:
-    """Surface area of the unit sphere in R^d (4*pi for d=3)."""
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    """Surface area of the unit sphere in R^d (4*pi for d=3).
+
+    Decided in logs, from lgamma: raises ArithmeticError naming d where the
+    surface is below the normal double range (d >= 439), since a surface
+    that underflows to 0 would make every integral 0 and every radius
+    infinite.  Where Gamma(d/2) is a double (d <= 343) the value is
+    2 pi^(d/2) / Gamma(d/2) directly.
+    """
+    log_surface = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
+    if log_surface < _LOG_TINY:
+        raise _below_range("unit-sphere surface", d)
+    try:
+        return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    except OverflowError:
+        return math.exp(log_surface)
 
 
 def sphere_volume(radius: float, d: int) -> float:
-    """Volume of the ball of the given radius in R^d."""
-    return sphere_surface(d) / d * radius**d
+    """Volume of the ball of the given radius in R^d.
+
+    Raises ArithmeticError naming d where the unit-ball volume is below the
+    normal double range (d >= 436).
+    """
+    ball = sphere_surface(d) / d
+    if ball < sys.float_info.min:
+        raise _below_range("unit-ball volume", d)
+    return ball * radius**d
 
 
 def stable_ratio(x):

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from mayerbounds import bounds
+from mayerbounds import bounds, quadrature
 from mayerbounds.bounds import (
     BoundReport,
     bound_pieces,
@@ -46,6 +46,34 @@ ZERO_POTENTIAL = TabulatedPotential(knots=((1.0, 0.0),))
 REGISTRY = lj_stability_registry()
 # B = B-bar = 0: every radius is e^-1 over its integral
 NO_STABILITY = StabilityData(0.0, 0.0, 1.0, {})
+
+
+def record_integrals(monkeypatch) -> list[tuple[float, float, int, int]]:
+    """Wrap quadrature.integrate_adaptive; the list returned gets one
+    (lo, hi, integrand calls, integrand points) entry per integral."""
+    integrals = []
+    original = quadrature.integrate_adaptive
+
+    def counting(f, lo, hi, *args, **kwargs):
+        work = [0, 0]
+
+        def counted(x):
+            work[0] += 1
+            work[1] += x.size
+            return f(x)
+
+        try:
+            return original(counted, lo, hi, *args, **kwargs)
+        finally:
+            integrals.append((lo, hi, *work))
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", counting)
+    return integrals
+
+
+@pytest.fixture
+def cold_penrose_ruelle_cache():
+    bounds._penrose_ruelle_integral.cache_clear()
 
 
 class TestOffsetStableRatio:
@@ -141,6 +169,14 @@ class TestPenroseRuelle:
         c_value, radius = penrose_ruelle(ZERO_POTENTIAL, 1.0, 0.0)
         assert c_value == 0.0
         assert radius == math.inf
+
+    @pytest.mark.parametrize("potential", [LJ, InversePower(1.0, 12.0)], ids=["lj", "repulsive"])
+    @pytest.mark.parametrize("beta", [1.0, 5.0])
+    def test_closed_form_tail_never_lowers_c(self, potential, beta):
+        # |e^{-beta V} - 1| exceeds beta |V| where V < 0, so a closed-form tail
+        # from a small cut must not fall below the integral run out to 50
+        near = penrose_ruelle(potential, beta, 0.0, QuadratureSpec(tail_cut=1.2))[0]
+        assert near >= penrose_ruelle(potential, beta, 0.0)[0]
 
 
 class TestMpsBound:
@@ -394,3 +430,115 @@ class TestKnotsBeyondTailCut:
         c_value, _ = penrose_ruelle(tab, 1.0, 0.0)
         expected = self.radial_quad(lambda r: abs(math.expm1(-tab(r))), 0.0, tab.knots)
         assert math.isclose(c_value, expected, rel_tol=1e-8)
+
+
+@pytest.mark.usefixtures("cold_penrose_ruelle_cache")
+class TestPenroseRuelleCache:
+    """C(beta) does not depend on the cut: it is integrated once per
+    (potential, beta, spec), over (0, tail_cut), and read back bit for bit."""
+
+    @staticmethod
+    def penrose_ruelle_integrals(integrals):
+        return [entry for entry in integrals if entry[:2] == (0.0, QuadratureSpec().tail_cut)]
+
+    def test_second_cut_makes_no_penrose_ruelle_integral(self, monkeypatch):
+        integrals = record_integrals(monkeypatch)
+        first = compare_report(LJ, 1.0, 0.6397, REGISTRY)
+        assert len(self.penrose_ruelle_integrals(integrals)) == 1
+        integrals.clear()
+        second = compare_report(LennardJones(), 1.0, 0.5, REGISTRY, QuadratureSpec())
+        assert [entry[:2] for entry in integrals] == [(0.0, 0.5)] * 3 + [(0.5, 50.0)]
+        assert second.c_pr == first.c_pr
+        assert second.error_estimates["c_pr"] == first.error_estimates["c_pr"]
+        assert penrose_ruelle(LJ, 1.0, REGISTRY.b_upper) == (second.c_pr, second.r_pr)
+        assert len(integrals) == 4
+
+    def test_cached_report_equals_a_fresh_one(self):
+        compare_report(LJ, 1.0, 0.6397, REGISTRY)
+        warm = compare_report(LJ, 1.0, 0.5, REGISTRY)
+        bounds._penrose_ruelle_integral.cache_clear()
+        assert warm.to_json() == compare_report(LJ, 1.0, 0.5, REGISTRY).to_json()
+
+    def test_beta_or_spec_change_recomputes(self, monkeypatch):
+        integrals = record_integrals(monkeypatch)
+        compare_report(LJ, 1.0, 0.6397, REGISTRY)
+        finer = QuadratureSpec(rel_tol=1e-9)
+        c_values = [penrose_ruelle(LJ, 2.0, 0.0)[0], penrose_ruelle(LJ, 1.0, 0.0, finer)[0]]
+        assert len(self.penrose_ruelle_integrals(integrals)) == 3
+        assert c_values == [penrose_ruelle(LJ, 2.0, 0.0)[0], penrose_ruelle(LJ, 1.0, 0.0, finer)[0]]
+        assert len(self.penrose_ruelle_integrals(integrals)) == 3
+
+    def test_overflow_is_not_cached(self, monkeypatch):
+        integrals = record_integrals(monkeypatch)
+        for attempt in (1, 2):
+            with pytest.raises(ArithmeticError, match="Penrose-Ruelle integral overflows"):
+                compare_report(LJ, 720.0, 0.6397, REGISTRY)
+            assert len(self.penrose_ruelle_integrals(integrals)) == attempt
+
+
+class TestInnerIntegralSeeds:
+    """Knots and kinks inside the cut are panel breaks of the inner
+    integrals: each inner piece converges on its seed panels in one
+    integrand call, and agrees with scipy quad run segment by segment
+    between them (the integrands are smooth on each)."""
+
+    CASES = {
+        "tabulated": (
+            TabulatedPotential(knots=((0.5, 50.0), (0.6, 30.0), (0.7, 12.0), (0.8, 4.0),
+                                      (1.0, -1.0), (2.0, -0.2), (3.0, 0.0))),
+            0.75,
+        ),
+        "hard-core": (HardCoreWrap(LJ, 0.4, 1000.0), 0.6),
+    }
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_inner_pieces_converge_on_their_seeds(self, case, beta, monkeypatch):
+        potential, a = self.CASES[case]
+        integrals = record_integrals(monkeypatch)
+        pieces = bound_pieces(potential, a, beta, REGISTRY.bbar_upper).pieces
+        assert [entry[2] for entry in integrals if entry[:2] == (0.0, a)] == [1, 1, 1]
+
+        excess = lambda r: beta * (potential(r) - potential(a))
+        y = beta * REGISTRY.bbar_upper
+        integrands = {
+            "c_star_inner": lambda r: beta * abs(potential(r)) * stable_ratio(excess(r)),
+            "c_hat_inner": lambda r: beta * abs(potential(r)) * offset_stable_ratio(excess(r), y),
+            "mps_inner_exp": lambda r: -math.expm1(-excess(r)),
+        }
+        edges = [0.0] + [r for r in potential.feature_radii() if r < a] + [a]
+        for name, g in integrands.items():
+            expected = sum(
+                integrate.quad(lambda r: 4.0 * math.pi * r * r * g(r), left, right,
+                               epsabs=0.0, epsrel=1e-13)[0]
+                for left, right in zip(edges[:-1], edges[1:])
+            )
+            assert math.isclose(pieces[name], expected, rel_tol=1e-8), name
+
+
+@pytest.mark.usefixtures("cold_penrose_ruelle_cache")
+class TestReportWork:
+    """The integrand calls and points of fixed reports, pinned so that a
+    change that adds refinement steps shows here, beside any timing."""
+
+    @staticmethod
+    def work(integrals):
+        return sum(entry[2] for entry in integrals), sum(entry[3] for entry in integrals)
+
+    def test_lennard_jones_report(self, monkeypatch):
+        integrals = record_integrals(monkeypatch)
+        compare_report(LJ, 1.0, 0.6397, REGISTRY)
+        # 3 inner pieces, the outer piece, then C(beta) in 9 calls
+        assert self.work(integrals) == (17, 8400)
+        integrals.clear()
+        compare_report(LJ, 1.0, 0.5, REGISTRY)
+        assert self.work(integrals) == (8, 7536)
+
+    def test_tabulated_report(self, monkeypatch):
+        radii = np.linspace(0.5, 3.0, 41)
+        tab = TabulatedPotential(knots=tuple(zip(radii, LJ(radii))))
+        integrals = record_integrals(monkeypatch)
+        compare_report(tab, 1.0, 0.8, REGISTRY)
+        # one call for each inner piece, whose kinks at the knots are seeded
+        assert [entry[2] for entry in integrals if entry[:2] == (0.0, 0.8)] == [1, 1, 1]
+        assert self.work(integrals) == (18, 12672)

@@ -398,7 +398,10 @@ class TestUsage:
         ('{"kind": "tabulated", "knots": [[1e-300, 1e300], [1e300, -1.0]]}',
          ["bounds", "--a", "0.1", "--b-upper", "1", "--potential", "cfg.json"],
          "outer_abs not finite at a = 0.1"),
-    ], ids=["identity-n7", "identity-n3", "bounds-lj", "bounds-tabulated"])
+        ('{"kind": "inverse-power", "C": 1, "p": 12, "d": 1000}',
+         ["bounds", "--a", "0.5", "--b-upper", "1", "--potential", "cfg.json"],
+         "the unit-sphere surface in d = 1000 is below the normal double range"),
+    ], ids=["identity-n7", "identity-n3", "bounds-lj", "bounds-tabulated", "bounds-d1000"])
     def test_overflow_is_one_numeric_failure_line(self, config, argv, err, tmp_path, capsys,
                                                   monkeypatch):
         if config is not None:
@@ -436,6 +439,7 @@ FUZZ_CONFIGS = {
     "inverse-power-d0": {"kind": "inverse-power", "C": 1, "p": 12, "d": 0},
     "inverse-power-d-2": {"kind": "inverse-power", "C": 1, "p": 12, "d": -2},
     "inverse-power-d2.5": {"kind": "inverse-power", "C": 1, "p": 12, "d": 2.5},
+    "inverse-power-d1000": {"kind": "inverse-power", "C": 1, "p": 12, "d": 1000},
     "inverse-power-dtrue": {"kind": "inverse-power", "C": 1, "p": 12, "d": True},
     "lj-d2": {"kind": "lj", "d": 2},
     "hard-core": {"kind": "hard-core", "a": 0.5, "H": 3, "tail": {"kind": "lj"}},

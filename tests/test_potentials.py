@@ -312,6 +312,13 @@ class TestTabulated:
         assert tab(3.0) == 0.0  # zero beyond last
         assert tab.tail_terms() == ()
 
+    def test_knots_stored_as_float_pairs(self):
+        # any sequence of pairs gives the same hashable potential
+        from_lists = TabulatedPotential(knots=[[1, 2.0], np.array([2.0, 0.0])])
+        assert from_lists.knots == ((1.0, 2.0), (2.0, 0.0))
+        assert from_lists == TabulatedPotential(knots=((1.0, 2.0), (2.0, 0.0)))
+        assert hash(from_lists) == hash(TabulatedPotential(knots=((1.0, 2.0), (2.0, 0.0))))
+
     def test_unsorted_knots_rejected(self):
         with pytest.raises(ValueError):
             TabulatedPotential(knots=((2.0, 1.0), (1.0, 2.0)))

@@ -130,6 +130,34 @@ class TestIntegrateAdaptive:
         assert math.isclose(value, expected, rel_tol=1e-10)
 
 
+class TestSphereConstants:
+    # past d = 343, Gamma(d/2) overflows and the surface is exp of its log,
+    # which carries lgamma's absolute error (~1e-13 at |log| ~ 700)
+    @pytest.mark.parametrize("d, rel_tol", [
+        (1, 1e-14), (2, 1e-14), (3, 1e-14), (7, 1e-14), (30, 1e-14), (343, 1e-14),
+        (344, 5e-13), (400, 5e-13), (438, 5e-13),
+    ])
+    def test_surface_matches_high_precision(self, d, rel_tol):
+        exact = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
+        assert math.isclose(sphere_surface(d), float(exact), rel_tol=rel_tol)
+
+    def test_three_dimensional_constants(self):
+        assert sphere_surface(3) == 4.0 * math.pi
+        assert math.isclose(sphere_volume(2.0, 3), 32.0 * math.pi / 3.0, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("d", [439, 1000, 10**6])
+    def test_surface_below_double_range_raises(self, d):
+        # it would underflow to 0, and a zero integral reads as an infinite radius
+        with pytest.raises(ArithmeticError, match=f"unit-sphere surface in d = {d} "):
+            sphere_surface(d)
+
+    @pytest.mark.parametrize("d", [436, 438])
+    def test_ball_volume_below_double_range_raises(self, d):
+        assert sphere_surface(d) > 0.0
+        with pytest.raises(ArithmeticError, match=f"unit-ball volume in d = {d} "):
+            sphere_volume(1.0, d)
+
+
 class TestRadialIntegral:
     def test_ball_volume(self):
         value, _ = radial_integral(lambda r: np.ones_like(r), 3, 0.0, 0.7)
@@ -193,17 +221,18 @@ class TestRadialIntegral:
 
 def reference_integrate(f, lo, hi, spec=DEFAULT_SPEC, *, breakpoints=(), sub_resolution=None):
     """Per-panel oracle for integrate_adaptive: two integrand calls per panel
-    (GL16 nodes, then GL32 nodes) from numpy's own Gauss-Legendre rules, and
-    the same largest-error-first refinement.  Appends each panel that is
-    too narrow to split to `sub_resolution`."""
+    (GL16 nodes, then GL32 nodes) from numpy's own Gauss-Legendre rules,
+    each rule summed as (w * f(nodes)).sum() over that panel alone, and the
+    same largest-error-first refinement.  Appends each panel that is too
+    narrow to split to `sub_resolution`."""
     x16, w16 = np.polynomial.legendre.leggauss(16)
     x32, w32 = np.polynomial.legendre.leggauss(32)
 
     def panel(a, b):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        coarse = half * float(np.dot(w16, f(mid + half * x16)))
-        fine = half * float(np.dot(w32, f(mid + half * x32)))
+        coarse = half * float((w16 * f(mid + half * x16)).sum())
+        fine = half * float((w32 * f(mid + half * x32)).sum())
         return fine, abs(fine - coarse)
 
     edges = [lo] + [p for p in sorted(set(map(float, breakpoints))) if lo < p < hi] + [hi]
@@ -294,6 +323,18 @@ class TestBatchedEngine:
         x, w = np.polynomial.legendre.leggauss(n)
         assert nodes.tobytes() == x.tobytes()
         assert weights.tobytes() == w.tobytes()
+
+    def test_batched_panels_equal_one_panel_calls(self):
+        # each panel's two rule sums are one row of a row-wise reduction, so
+        # they do not depend on how many panels share the call
+        rng = np.random.default_rng(7)
+        lefts = np.sort(rng.uniform(-3.0, 3.0, 150))
+        rights = lefts + rng.uniform(1e-9, 0.5, 150)
+        f = lambda x: np.exp(-x) * np.sin(3.0 * x) + np.sqrt(np.abs(x))
+        values, errors = quadrature._panels(f, lefts, rights)
+        singles = [quadrature._panels(f, [a], [b]) for a, b in zip(lefts, rights)]
+        assert values == [v[0] for v, _ in singles]
+        assert errors == [e[0] for _, e in singles]
 
     def test_one_call_for_the_seeds_then_one_per_split(self):
         sizes = []
