@@ -17,7 +17,10 @@ radius a, four certified disk radii are assembled:
 
 C~, C* and C^ differ only in the inner factor on |x| <= a.  One pipeline,
 `bound_pieces`, checks the cut and computes every piece once;
-`compare_report` and `reproduce` read it.
+`compare_report` and `reproduce` read it.  The three inner pieces are the
+rows of one quadrature pass: V, the radial weight and the excess
+beta (V - V(a)) are evaluated once per node, and each piece is still refined
+on its own, to the bits of a lone integral.
 
 All integrals are adaptive radial quadratures with closed-form power-law
 tails beyond spec.tail_cut.  The inner integrands have a boundary layer of
@@ -151,13 +154,23 @@ def _penrose_ruelle_integral(potential, beta, spec) -> tuple[float, float]:
     return value, err
 
 
-def _inner_integral(potential, a, spec, g) -> tuple[float, float]:
-    """(value, err) of int_{|x|<=a} g(V(|x|)), with panel breaks on the edge
-    ladder at a and at every feature radius inside (0, a)."""
+def _inner_integrals(
+    potential, a, beta, value_at_cut, spec, factors
+) -> dict[str, tuple[float, float]]:
+    """{name: (value, err)} of int_{|x|<=a} g(V, beta (V - V(a))) for each
+    factor g in `factors`, from one quadrature pass: V, the radial weight and
+    the excess are evaluated once per node and each factor is one row.  Panel
+    breaks sit on the edge ladder at a and at every feature radius inside
+    (0, a)."""
     breakpoints = edge_ladder(0.0, a) + [r for r in potential.feature_radii() if 0.0 < r < a]
-    return radial_integral(
-        lambda r: g(potential(r)), potential.d, 0.0, a, spec, breakpoints=breakpoints
-    )
+
+    def rows(r):
+        v = potential(r)
+        excess = beta * (v - value_at_cut)
+        return np.stack([g(v, excess) for g in factors.values()])
+
+    results = radial_integral(rows, potential.d, 0.0, a, spec, breakpoints=breakpoints)
+    return dict(zip(factors, results))
 
 
 def _is_zero_potential(potential: PairPotential) -> bool:
@@ -247,18 +260,15 @@ def bound_pieces(
         return BoundPieces(dict(zeros, mps_va_mass=0.0), zeros, is_zero=True)
     value_at_cut = split(potential, a)
     y = beta * bbar
-
-    def excess(v):
-        return beta * (v - value_at_cut)
-
+    # the inner factors of V and the excess beta (V - V(a))
     factors = {
-        "c_star_inner": lambda v: beta * np.abs(v) * stable_ratio(excess(v)),
-        "c_hat_inner": lambda v: beta * np.abs(v) * offset_stable_ratio(excess(v), y),
-        "mps_inner_exp": lambda v: -np.expm1(-excess(v)),
+        "c_star_inner": lambda v, x: beta * np.abs(v) * stable_ratio(x),
+        "c_hat_inner": lambda v, x: beta * np.abs(v) * offset_stable_ratio(x, y),
+        "mps_inner_exp": lambda v, x: -np.expm1(-x),
     }
     # V = inf near 0 makes inf * 0 in the factors, a large beta overflows them: checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        integrals = {name: _inner_integral(potential, a, spec, g) for name, g in factors.items()}
+        integrals = _inner_integrals(potential, a, beta, value_at_cut, spec, factors)
         integrals["outer_abs"] = _outer_integral(
             potential, a, beta, spec, lambda v: beta * np.abs(v)
         )

@@ -6,13 +6,17 @@ narrow features (the Lennard-Jones integrands have a boundary layer of
 relative width ~1e-7 at the cut radius) are localized automatically; callers
 seed `breakpoints` when the feature location is known.
 
-Integrand contract: f receives one flat float array holding the nodes of many
-panels and must be elementwise, returning an array of the same shape whose
-entry i depends on entry i of the input only.  The engine makes one call for
-all seed panels and one call per split (both children), so the numpy
-dispatch cost of an integrand is paid once per step.  The two rule sums of
+Integrand contract: f receives one flat float array x holding the nodes of
+many panels and must be elementwise.  It returns either an array of the same
+shape as x, or k rows, shape (k, x.size), one per integral that shares the
+nodes (a 1-D f is the case k = 1); entry [j, i] depends on entry i of the
+input only.  The engine makes one call for the seed panels of all rows.
+Each row then refines on its own: a split calls f on the two children and
+reads that row, so each row's value, error estimate and panel sequence are
+those of a lone integral of that row, bit for bit.  The two rule sums of
 every panel in a call come from one row-wise reduction, each row summed on
-its own, so the result does not depend on how many panels share a call.
+its own, so the result does not depend on how many panels or rows share a
+call.
 """
 
 from __future__ import annotations
@@ -153,18 +157,20 @@ _WEIGHTS = np.concatenate([_W16, _W32])
 
 def _panels(
     f: Callable[[np.ndarray], np.ndarray], lefts: Sequence[float], rights: Sequence[float]
-) -> tuple[list[float], list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """(GL32 values, |GL32 - GL16| errors) of the panels [lefts[i], rights[i]],
-    from one call of f and one row-wise sum per rule over all panels."""
+    shape (panels,) for a 1-D f and (k, panels) for k rows, from one call of f
+    and one row-wise sum per rule over all panels of all rows."""
     lo = np.asarray(lefts, dtype=float)
     hi = np.asarray(rights, dtype=float)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     values = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
     products = values.reshape(-1, _NODES.size) * _WEIGHTS
-    coarse = half * products[:, :16].sum(axis=1)
-    fine = half * products[:, 16:].sum(axis=1)
-    return fine.tolist(), np.abs(fine - coarse).tolist()
+    shape = values.shape[:-1] + lo.shape
+    coarse = half * products[:, :16].sum(axis=1).reshape(shape)
+    fine = half * products[:, 16:].sum(axis=1).reshape(shape)
+    return fine, np.abs(fine - coarse)
 
 
 def integrate_adaptive(
@@ -174,30 +180,51 @@ def integrate_adaptive(
     spec: QuadratureSpec | None = None,
     *,
     breakpoints: Iterable[float] = (),
-) -> tuple[float, float]:
-    """Integrate f on [lo, hi]; return (value, error estimate).
+) -> tuple[float, float] | list[tuple[float, float]]:
+    """Integrate f on [lo, hi]; return (value, error estimate), or a list of
+    k such pairs when f returns k rows.
 
     Tolerances and the panel budget come from `spec` (DEFAULT_SPEC when
-    None).  Raises QuadratureConvergenceError when the estimate cannot be
-    pushed below max(spec.abs_tol, spec.rel_tol * |value|) within
-    spec.max_subdivisions panels, or when every panel left is narrower than
-    floating-point resolution.
+    None) and hold for each row on its own.  Raises
+    QuadratureConvergenceError, for the first row in order that fails, when
+    its estimate cannot be pushed below max(spec.abs_tol, spec.rel_tol *
+    |value|) within spec.max_subdivisions panels, or when every panel left
+    is narrower than floating-point resolution.
     """
     spec = spec or DEFAULT_SPEC
     if hi < lo:
         raise ValueError(f"inverted integration range [{lo}, {hi}]")
-    if hi == lo:
-        return 0.0, 0.0
 
     edges = [lo]
     for p in sorted(set(float(b) for b in breakpoints)):
         if lo < p < hi:
             edges.append(p)
-    edges.append(hi)
+    if hi > lo:
+        edges.append(hi)
 
+    # an empty range has no panel: f sees no node, and every row is (0.0, 0.0)
+    values, errors = _panels(f, edges[:-1], edges[1:])
+    results = [
+        _refine(f, row, edges, row_values, row_errors, spec)
+        for row, (row_values, row_errors) in enumerate(
+            zip(np.atleast_2d(values).tolist(), np.atleast_2d(errors).tolist())
+        )
+    ]
+    return results[0] if values.ndim == 1 else results
+
+
+def _refine(
+    f: Callable[[np.ndarray], np.ndarray],
+    row: int,
+    edges: list[float],
+    values: list[float],
+    errors: list[float],
+    spec: QuadratureSpec,
+) -> tuple[float, float]:
+    """(value, error estimate) of row `row` of f, from the seed panels between
+    `edges` and their values and errors, by largest-error-first splitting."""
     # panels are disjoint, so no two heap entries tie and heapify pops them in
     # the order that pushing them one by one would
-    values, errors = _panels(f, edges[:-1], edges[1:])
     heap = [(-e, a, b, v, e) for a, b, v, e in zip(edges[:-1], edges[1:], values, errors)]
     heapq.heapify(heap)
     total = 0.0
@@ -227,7 +254,10 @@ def integrate_adaptive(
             total_err += err
             continue
         values, errors = _panels(f, (a, mid), (mid, b))
-        for aa, bb, v, e in zip((a, mid), (mid, b), values, errors):
+        for aa, bb, v, e in zip(
+            (a, mid), (mid, b),
+            np.atleast_2d(values)[row].tolist(), np.atleast_2d(errors)[row].tolist(),
+        ):
             heapq.heappush(heap, (-e, aa, bb, v, e))
             total += v
             total_err += e
@@ -245,22 +275,26 @@ def radial_integral(
     *,
     tail: Sequence[tuple[float, float]] | None = None,
     breakpoints: Iterable[float] = (),
-) -> tuple[float, float]:
+) -> tuple[float, float] | list[tuple[float, float]]:
     """(value, error estimate) of the integral of g(|x|) over the radial
-    shell lo <= |x| <= hi in R^d.
+    shell lo <= |x| <= hi in R^d; a list of k such pairs when g returns k
+    rows, as integrate_adaptive.
 
     Evaluates S_{d-1} * int r^{d-1} g(r) dr adaptively; the error estimate is
-    integrate_adaptive's.  An infinite upper limit requires `tail`, the exact
+    integrate_adaptive's.  The weight S_{d-1} r^{d-1} is applied only where g
+    is not 0: for large d it overflows at radii where g vanishes, and inf * 0
+    would be NaN.  An infinite upper limit requires `tail`, the exact
     power-law form g(r) = sum c_i r^{-p_i} valid for r >= spec.tail_cut
-    (empty tuple = zero tail); the tail part is then integrated in closed
-    form, with no error estimate of its own, so no mass is silently
-    truncated.
+    (empty tuple = zero tail), of every row of g; the tail part is then
+    integrated in closed form, with no error estimate of its own, so no mass
+    is silently truncated.
     """
     spec = spec or DEFAULT_SPEC
     surface = sphere_surface(d)
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        return surface * r ** (d - 1) * g(r)
+        values = np.asarray(g(r))
+        return surface * np.where(values != 0.0, r, 0.0) ** (d - 1) * values
 
     top, tail_value = hi, 0.0
     if math.isinf(hi):
@@ -268,13 +302,13 @@ def radial_integral(
             raise TemperednessError(
                 "infinite upper limit requires declared power-law tail terms"
             )
-        top = spec.tail_cut
-        tail_value = power_tail_integral(tail, d, max(lo, top))
-        if lo >= top:
-            return tail_value, 0.0
-    value, err = integrate_adaptive(integrand, lo, top, spec, breakpoints=breakpoints)
+        top = max(lo, spec.tail_cut)
+        tail_value = power_tail_integral(tail, d, top)
+    result = integrate_adaptive(integrand, lo, top, spec, breakpoints=breakpoints)
     # integrate_adaptive never returns -0.0, so a finite hi keeps its bits
-    return value + tail_value, err
+    if isinstance(result, tuple):
+        return result[0] + tail_value, result[1]
+    return [(value + tail_value, err) for value, err in result]
 
 
 _LADDER_DEPTH = 48

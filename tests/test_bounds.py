@@ -38,7 +38,14 @@ from mayerbounds.potentials import (
     LennardJones,
     TabulatedPotential,
 )
-from mayerbounds.quadrature import QuadratureSpec, sphere_volume, stable_ratio
+from mayerbounds.quadrature import (
+    QuadratureConvergenceError,
+    QuadratureSpec,
+    edge_ladder,
+    radial_integral,
+    sphere_volume,
+    stable_ratio,
+)
 from mayerbounds.stability import StabilityData, lj_stability_registry
 
 LJ = LennardJones()
@@ -447,11 +454,11 @@ class TestPenroseRuelleCache:
         assert len(self.penrose_ruelle_integrals(integrals)) == 1
         integrals.clear()
         second = compare_report(LennardJones(), 1.0, 0.5, REGISTRY, QuadratureSpec())
-        assert [entry[:2] for entry in integrals] == [(0.0, 0.5)] * 3 + [(0.5, 50.0)]
+        assert [entry[:2] for entry in integrals] == [(0.0, 0.5), (0.5, 50.0)]
         assert second.c_pr == first.c_pr
         assert second.error_estimates["c_pr"] == first.error_estimates["c_pr"]
         assert penrose_ruelle(LJ, 1.0, REGISTRY.b_upper) == (second.c_pr, second.r_pr)
-        assert len(integrals) == 4
+        assert len(integrals) == 2
 
     def test_cached_report_equals_a_fresh_one(self):
         compare_report(LJ, 1.0, 0.6397, REGISTRY)
@@ -478,8 +485,8 @@ class TestPenroseRuelleCache:
 
 class TestInnerIntegralSeeds:
     """Knots and kinks inside the cut are panel breaks of the inner
-    integrals: each inner piece converges on its seed panels in one
-    integrand call, and agrees with scipy quad run segment by segment
+    integrals: the three inner pieces converge on their seed panels in one
+    integrand call, and each agrees with scipy quad run segment by segment
     between them (the integrands are smooth on each)."""
 
     CASES = {
@@ -497,7 +504,7 @@ class TestInnerIntegralSeeds:
         potential, a = self.CASES[case]
         integrals = record_integrals(monkeypatch)
         pieces = bound_pieces(potential, a, beta, REGISTRY.bbar_upper).pieces
-        assert [entry[2] for entry in integrals if entry[:2] == (0.0, a)] == [1, 1, 1]
+        assert [entry[2] for entry in integrals if entry[:2] == (0.0, a)] == [1]
 
         excess = lambda r: beta * (potential(r) - potential(a))
         y = beta * REGISTRY.bbar_upper
@@ -516,6 +523,132 @@ class TestInnerIntegralSeeds:
             assert math.isclose(pieces[name], expected, rel_tol=1e-8), name
 
 
+INNER_PIECES = ("c_star_inner", "c_hat_inner", "mps_inner_exp")
+
+
+def lone_inner_integral(potential, a, beta, bbar, name, spec=None):
+    """One inner piece as a lone radial integral of its own factor, on the
+    seed panels of the one-pass integral: the reference it must equal."""
+    v_a = potential(a)
+    y = beta * bbar
+    g = {
+        "c_star_inner": lambda v: beta * np.abs(v) * stable_ratio(beta * (v - v_a)),
+        "c_hat_inner": lambda v: beta * np.abs(v) * offset_stable_ratio(beta * (v - v_a), y),
+        "mps_inner_exp": lambda v: -np.expm1(-beta * (v - v_a)),
+    }[name]
+    breakpoints = edge_ladder(0.0, a) + [r for r in potential.feature_radii() if 0.0 < r < a]
+    return radial_integral(
+        lambda r: g(potential(r)), potential.d, 0.0, a, spec, breakpoints=breakpoints
+    )
+
+
+def record_nodes(monkeypatch) -> list[tuple[float, float, bytes]]:
+    """Wrap quadrature.integrate_adaptive; the list returned gets one
+    (lo, hi, nodes) entry per integrand call, in call order."""
+    calls = []
+    original = quadrature.integrate_adaptive
+
+    def recording(f, lo, hi, *args, **kwargs):
+        def recorded(x):
+            calls.append((lo, hi, x.tobytes()))
+            return f(x)
+
+        return original(recorded, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", recording)
+    return calls
+
+
+class TestOnePassInnerPieces:
+    """The three inner pieces are the rows of one quadrature pass; each
+    equals a lone radial integral of its factor bit for bit, value, error
+    estimate and panel sequence."""
+
+    TABLE_RADII = np.linspace(0.5, 3.0, 41)
+    CASES = {
+        "lennard-jones": (LJ, (0.3637, 0.5, 0.6397)),
+        "inverse-power": (InversePower(1.0, 12.0), (0.5, 0.9)),
+        "tabulated": (TestInnerIntegralSeeds.CASES["tabulated"][0], (0.55, 0.75)),
+        "lj-table": (TabulatedPotential(knots=tuple(zip(TABLE_RADII, LJ(TABLE_RADII)))), (0.8,)),
+        "hard-core": (HardCoreWrap(LJ, 0.4, 1000.0), (0.4, 0.6)),
+    }
+    # (potential, a, beta, spec) where the C^ row splits past its seed panels
+    REFINED = {
+        "lennard-jones": (LJ, 0.3637, 0.5, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)),
+        "inverse-power": (
+            InversePower(1.0, 12.0), 0.3637, 10.0, QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300)
+        ),
+    }
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pieces_equal_lone_integrals(self, case, beta):
+        potential, cuts = self.CASES[case]
+        for a in cuts:
+            pieces = bound_pieces(potential, a, beta, REGISTRY.bbar_upper)
+            for name in INNER_PIECES:
+                assert lone_inner_integral(potential, a, beta, REGISTRY.bbar_upper, name) == (
+                    pieces.pieces[name], pieces.error_estimates[name]
+                ), (a, name)
+
+    @pytest.mark.parametrize("case", sorted(REFINED))
+    def test_refined_rows_follow_their_lone_runs(self, case, monkeypatch):
+        potential, a, beta, spec = self.REFINED[case]
+        calls = record_nodes(monkeypatch)
+        pieces = bound_pieces(potential, a, beta, REGISTRY.bbar_upper, spec)
+        one_pass = [nodes for lo, hi, nodes in calls if (lo, hi) == (0.0, a)]
+        lone_calls = []
+        for name in INNER_PIECES:
+            calls.clear()
+            assert lone_inner_integral(potential, a, beta, REGISTRY.bbar_upper, name, spec) == (
+                pieces.pieces[name], pieces.error_estimates[name]
+            ), name
+            lone_calls.append([nodes for _, _, nodes in calls])
+        # the seed call, then each row's splits in row order, on its own panels
+        assert one_pass == [lone_calls[0][0]] + [nodes for seen in lone_calls for nodes in seen[1:]]
+        assert [len(seen) > 1 for seen in lone_calls] == [False, True, False]
+
+    def test_budget_error_matches_the_lone_run(self):
+        # at rel_tol 1e-12 the C* row converges after 12 splits and the C^
+        # row cannot: the one pass raises the C^ row's error
+        potential, a, beta = InversePower(1.0, 12.0), 0.3637, 10.0
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
+        with pytest.raises(QuadratureConvergenceError) as together:
+            bound_pieces(potential, a, beta, REGISTRY.bbar_upper, spec)
+        lone_inner_integral(potential, a, beta, REGISTRY.bbar_upper, "c_star_inner", spec)
+        with pytest.raises(QuadratureConvergenceError) as lone:
+            lone_inner_integral(potential, a, beta, REGISTRY.bbar_upper, "c_hat_inner", spec)
+        assert str(together.value) == str(lone.value)
+        assert together.value.value == lone.value.value
+        assert together.value.achieved_error == lone.value.achieved_error
+
+
+class TestOuterAbsClosedForm:
+    """The LJ outer piece 4 pi beta int_a^inf |r^-10 - 2 r^-4| dr in closed
+    form: the integrand changes sign at r0 = 2^(-1/6), and F(r) = -r^-9/9 +
+    2 r^-3/3 is an antiderivative of r^-10 - 2 r^-4."""
+
+    @staticmethod
+    def closed_form(a, beta):
+        with mpmath.workdps(40):
+            a = mpmath.mpf(a)
+            F = lambda r: -r**-9 / 9 + 2 * r**-3 / 3
+            r0 = mpmath.mpf(2) ** (-mpmath.mpf(1) / 6)
+            integral = 2 * F(r0) - F(a) if a < r0 else F(a)
+            return float(4 * mpmath.pi * beta * integral)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("a", [0.3637, 0.5, 0.6397])
+    def test_outer_piece_equals_closed_form(self, a, beta):
+        outer = bound_pieces(LJ, a, beta, REGISTRY.bbar_upper).pieces["outer_abs"]
+        assert math.isclose(outer, self.closed_form(a, beta), rel_tol=1e-12)
+
+    def test_closed_form_at_published_cuts(self):
+        # the closed form in double; 40 digits move the last digit at 0.3637
+        assert math.isclose(self.closed_form(0.3637, 1.0), 12381.086522409942, rel_tol=1e-15)
+        assert math.isclose(self.closed_form(0.6397, 1.0), 61.62994523687224, rel_tol=1e-15)
+
+
 @pytest.mark.usefixtures("cold_penrose_ruelle_cache")
 class TestReportWork:
     """The integrand calls and points of fixed reports, pinned so that a
@@ -528,17 +661,18 @@ class TestReportWork:
     def test_lennard_jones_report(self, monkeypatch):
         integrals = record_integrals(monkeypatch)
         compare_report(LJ, 1.0, 0.6397, REGISTRY)
-        # 3 inner pieces, the outer piece, then C(beta) in 9 calls
-        assert self.work(integrals) == (17, 8400)
+        # the 3 inner pieces in one call on 2,352 points, the outer piece in
+        # 5 calls, then C(beta) in 9 calls
+        assert self.work(integrals) == (15, 3696)
         integrals.clear()
         compare_report(LJ, 1.0, 0.5, REGISTRY)
-        assert self.work(integrals) == (8, 7536)
+        assert self.work(integrals) == (6, 2832)
 
     def test_tabulated_report(self, monkeypatch):
         radii = np.linspace(0.5, 3.0, 41)
         tab = TabulatedPotential(knots=tuple(zip(radii, LJ(radii))))
         integrals = record_integrals(monkeypatch)
         compare_report(tab, 1.0, 0.8, REGISTRY)
-        # one call for each inner piece, whose kinks at the knots are seeded
-        assert [entry[2] for entry in integrals if entry[:2] == (0.0, 0.8)] == [1, 1, 1]
-        assert self.work(integrals) == (18, 12672)
+        # one call for the inner pieces, whose kinks at the knots are seeded
+        assert [entry[2] for entry in integrals if entry[:2] == (0.0, 0.8)] == [1]
+        assert self.work(integrals) == (16, 7584)

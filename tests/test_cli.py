@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -253,6 +254,24 @@ class TestBounds:
         )
         assert not caught
 
+    def test_large_dimension_with_vanishing_tail(self, capsys, tmp_path, monkeypatch):
+        # r^199 overflows before the tail cut where V = 0: the radial weight
+        # is applied only where the integrand is not 0, so no inf * 0 = NaN
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"kind": "tabulated", "knots": [[0.5, 3], [1, 1]], "d": 200})
+        )
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(["bounds", "--a", "0.5", "--b-upper", "1", "--potential", "cfg.json",
+                             "--format", "json"], capsys)
+        assert code == 0
+        assert not caught
+        payload = json.loads(out)
+        assert math.isclose(payload["integrals"]["penrose_ruelle"], 3.5537583581176976e-109,
+                            rel_tol=1e-8)
+        assert 0.0 < payload["pieces"]["outer_abs"] < math.inf
+
     @pytest.mark.parametrize("argv, err", [
         # V = inf at the quadrature nodes nearest 0: inf * 0 in the inner factors
         (["bounds", "--a", "1e-23", "--format", "json"],
@@ -401,7 +420,11 @@ class TestUsage:
         ('{"kind": "inverse-power", "C": 1, "p": 12, "d": 1000}',
          ["bounds", "--a", "0.5", "--b-upper", "1", "--potential", "cfg.json"],
          "the unit-sphere surface in d = 1000 is below the normal double range"),
-    ], ids=["identity-n7", "identity-n3", "bounds-lj", "bounds-tabulated", "bounds-d1000"])
+        ('{"kind": "tabulated", "knots": [[0.5, 3], [1, 1]], "d": 437}',
+         ["bounds", "--a", "0.5", "--b-upper", "1", "--potential", "cfg.json"],
+         "the unit-ball volume in d = 437 is below the normal double range"),
+    ], ids=["identity-n7", "identity-n3", "bounds-lj", "bounds-tabulated", "bounds-d1000",
+            "bounds-d437"])
     def test_overflow_is_one_numeric_failure_line(self, config, argv, err, tmp_path, capsys,
                                                   monkeypatch):
         if config is not None:

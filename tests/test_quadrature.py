@@ -297,6 +297,11 @@ ADAPTIVE_CASES = {
 }
 
 
+# three integrands on [0, 1] of different difficulty: a square-root cusp at
+# 0, a kink at 0.3 and an oscillation
+ROWS = (np.sqrt, lambda x: np.abs(x - 0.3), lambda x: np.exp(-x) * np.cos(100.0 * x))
+
+
 def lj_inner_integrand(piece, a, beta):
     """Radial integrand (4 pi r^2 times g) of the C*, C^ or MPS inner piece."""
     lj = LennardJones()
@@ -333,8 +338,20 @@ class TestBatchedEngine:
         f = lambda x: np.exp(-x) * np.sin(3.0 * x) + np.sqrt(np.abs(x))
         values, errors = quadrature._panels(f, lefts, rights)
         singles = [quadrature._panels(f, [a], [b]) for a, b in zip(lefts, rights)]
-        assert values == [v[0] for v, _ in singles]
-        assert errors == [e[0] for _, e in singles]
+        assert values.tolist() == [v[0] for v, _ in singles]
+        assert errors.tolist() == [e[0] for _, e in singles]
+
+    def test_rows_equal_one_row_calls(self):
+        # a row's sums do not depend on the rows beside it either
+        rng = np.random.default_rng(8)
+        lefts = np.sort(rng.uniform(0.0, 3.0, 40))
+        rights = lefts + rng.uniform(1e-9, 0.5, 40)
+        values, errors = quadrature._panels(lambda x: np.stack([g(x) for g in ROWS]), lefts, rights)
+        assert values.shape == errors.shape == (len(ROWS), 40)
+        for g, row_values, row_errors in zip(ROWS, values, errors):
+            lone_values, lone_errors = quadrature._panels(g, lefts, rights)
+            assert row_values.tobytes() == lone_values.tobytes()
+            assert row_errors.tobytes() == lone_errors.tobytes()
 
     def test_one_call_for_the_seeds_then_one_per_split(self):
         sizes = []
@@ -388,3 +405,78 @@ class TestBatchedEngine:
         expected = outcome(reference_integrate, f, 0.0, 1.0, sub_resolution=narrow, **kwargs)
         assert narrow and expected[0] == "budget" and expected[2] > 0.0
         assert outcome(integrate_adaptive, f, 0.0, 1.0, **kwargs) == expected
+
+
+class TestRowIntegrands:
+    """An integrand of k rows: one call for the seed panels of all rows, then
+    each row refined on its own, so that each row's value, error estimate
+    and panel sequence are those of its lone integral, bit for bit."""
+
+    @staticmethod
+    def rows(x):
+        return np.stack([g(x) for g in ROWS])
+
+    @pytest.mark.parametrize("spec", [DEFAULT_SPEC, QuadratureSpec(rel_tol=1e-12)])
+    def test_rows_follow_their_lone_runs(self, spec):
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return self.rows(x)
+
+        results = integrate_adaptive(f, 0.0, 1.0, spec, breakpoints=(0.5,))
+        lone_calls = []
+        for g, result in zip(ROWS, results):
+            seen = []
+
+            def lone(x, g=g, seen=seen):
+                seen.append(x.copy())
+                return g(x)
+
+            assert integrate_adaptive(lone, 0.0, 1.0, spec, breakpoints=(0.5,)) == result
+            lone_calls.append(seen)
+        # the seed call, then each row's splits in row order, on its own panels
+        expected = [lone_calls[0][0]] + [x for seen in lone_calls for x in seen[1:]]
+        assert len(calls) == len(expected)
+        assert all(got.tobytes() == want.tobytes() for got, want in zip(calls, expected))
+        assert all(len(seen) > 1 for seen in lone_calls)
+
+    def test_budget_error_is_the_first_failing_rows(self):
+        # row 0 converges, rows 1 and 2 cannot within 3 panels: row 1 raises
+        rows = (lambda x: x * x, lambda x: np.sin(1000.0 * x), lambda x: np.sin(2000.0 * x))
+        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)
+        with pytest.raises(QuadratureConvergenceError) as together:
+            integrate_adaptive(lambda x: np.stack([g(x) for g in rows]), 0.0, 50.0, spec)
+        assert integrate_adaptive(rows[0], 0.0, 50.0, spec)[1] > 0.0
+        with pytest.raises(QuadratureConvergenceError) as lone:
+            integrate_adaptive(rows[1], 0.0, 50.0, spec)
+        assert str(together.value) == str(lone.value)
+        assert together.value.value == lone.value.value
+        assert together.value.achieved_error == lone.value.achieved_error
+
+    def test_empty_range(self):
+        assert integrate_adaptive(self.rows, 1.0, 1.0) == [(0.0, 0.0)] * len(ROWS)
+        assert radial_integral(self.rows, 3, 1.0, 1.0) == [(0.0, 0.0)] * len(ROWS)
+
+    def test_radial_rows_share_the_tail(self):
+        # both rows equal 2 r^-6 past the tail cut, where e^{-r^2} is 0
+        rows = (lambda r: 2.0 * r**-6.0, lambda r: 2.0 * r**-6.0 + np.exp(-r * r))
+        kwargs = dict(tail=((2.0, 6.0),), breakpoints=(2.0,))
+        results = radial_integral(
+            lambda r: np.stack([g(r) for g in rows]), 3, 1.0, math.inf, **kwargs
+        )
+        assert results == [radial_integral(g, 3, 1.0, math.inf, **kwargs) for g in rows]
+
+
+class TestLargeDimension:
+    """The radial weight r^(d-1) overflows for large d where g may vanish;
+    it is applied only where g is not 0, so that inf * 0 makes no NaN."""
+
+    def test_vanishing_integrand_beyond_overflow(self):
+        # g = 1 on (0.5, 1), 0 beyond; r^199 overflows past r ~ 35 < tail cut
+        value, err = radial_integral(
+            lambda r: np.where(r < 1.0, 1.0, 0.0), 200, 0.5, math.inf, tail=(), breakpoints=(1.0,)
+        )
+        expected = sphere_surface(200) / 200 * (1.0 - 0.5**200)
+        assert math.isclose(value, expected, rel_tol=1e-12)
+        assert 0.0 <= err <= DEFAULT_SPEC.abs_tol
