@@ -28,7 +28,6 @@ from .potentials import (
     HardCoreWrap,
     InversePower,
     LennardJones,
-    LJTypeEnvelope,
     PairPotential,
     TabulatedPotential,
     potential_from_config,

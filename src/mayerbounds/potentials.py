@@ -30,7 +30,6 @@ __all__ = [
     "InversePower",
     "HardCoreWrap",
     "TabulatedPotential",
-    "LJTypeEnvelope",
     "split",
     "potential_from_config",
 ]
@@ -118,27 +117,6 @@ class LennardJones(PairPotential):
 
     def config(self):
         return {"kind": "lennard-jones", "d": 3}
-
-    @staticmethod
-    def default_envelope() -> "LJTypeEnvelope":
-        """An envelope that holds for the classical potential, in closed form.
-
-        Both envelope powers are r^-6 (d + decay_surplus = 6):
-            core:  V - 0.5 r^-6 = r^-6 (r^-6 - 2.5) >= 0 for r <= 2.5^(-1/6)
-                   ~ 0.858, which is past r1 = 0.8;
-            well:  V + 1 = (r^-6 - 1)^2 >= 0, so V >= -1 everywhere, and
-                   floor(r1, r2) = V(1) = -1 = -well_depth;
-            tail:  V + 2 r^-6 = r^-12 > 0 for every r.
-        """
-        return LJTypeEnvelope(
-            c_repulsion=0.5,
-            c_attraction=2.0,
-            r1=0.8,
-            r2=1.0,
-            well_depth=1.0,
-            decay_surplus=3.0,
-            d=3,
-        )
 
 
 @dataclass(frozen=True)
@@ -275,56 +253,6 @@ def split(potential: PairPotential, a: float) -> float:
             f"the cut precondition fails at a = {a}"
         )
     return value_at_cut
-
-
-@dataclass(frozen=True)
-class LJTypeEnvelope:
-    """Lennard-Jones-type envelope: repulsive floor inside r1, bounded well on
-    [r1, r2], integrable attractive envelope beyond r2.
-
-    The three inequalities are
-        V(r) >= c_repulsion / r^(d + decay_surplus)   for r <= r1,
-        V(r) >= -well_depth                           for r1 <= r <= r2,
-        V(r) >= -c_attraction / r^(d + decay_surplus) for r >= r2.
-    """
-
-    c_repulsion: float
-    c_attraction: float
-    r1: float
-    r2: float
-    well_depth: float
-    decay_surplus: float
-    d: int = 3
-
-    def __post_init__(self):
-        # comparisons written so that NaN fails them
-        if not all(0 < x < np.inf for x in (self.c_repulsion, self.r1, self.r2)):
-            raise ValueError("repulsion coefficient and radii must be finite and positive")
-        # c_attraction = well_depth = 0 describes a purely repulsive potential
-        if not (0 <= self.c_attraction < np.inf and 0 <= self.well_depth < np.inf
-                and 0 < self.decay_surplus < np.inf):
-            raise ValueError(
-                "need finite c_attraction >= 0, well_depth >= 0 and decay_surplus > 0"
-            )
-        if self.r1 > self.r2:
-            raise ValueError("need r1 <= r2")
-        object.__setattr__(self, "d", _dimension(self.d))
-
-    def repulsive_floor(self, r):
-        return self.c_repulsion * np.asarray(r, dtype=float) ** -(self.d + self.decay_surplus)
-
-    def attractive_envelope(self, r):
-        """eta(r): the monotone decreasing bound on the attractive tail."""
-        return self.c_attraction * np.asarray(r, dtype=float) ** -(self.d + self.decay_surplus)
-
-    def majorant_well(self) -> float:
-        """w-bar = max(well_depth, eta(r2)), the flat inner level of eta-bar."""
-        return max(self.well_depth, float(self.attractive_envelope(self.r2)))
-
-    def eta_bar(self, r):
-        """Monotone integrable majorant of V^-: w-bar inside r2, eta beyond."""
-        arr = np.asarray(r, dtype=float)
-        return np.where(arr <= self.r2, self.majorant_well(), self.attractive_envelope(arr))
 
 
 def potential_from_config(config: Mapping) -> PairPotential:

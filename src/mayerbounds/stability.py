@@ -8,10 +8,9 @@ is inconclusive.
 
 Two bound methods are built in:
 
-* cube packing: mu(a) <= C_d / a^d with C_d = (4d)^(d/2) * integral of the
-  monotone majorant eta-bar of V^- over R^d (valid for cuts inside the
-  repulsive region, a < r1).  eta-bar is flat inside r2 and a power law
-  beyond, so its integral is exact: a ball volume plus a closed-form tail;
+* the Lennard-Jones cube-packing bound mu(a) <= 12^1.5 * (16 pi/3) / a^3,
+  valid for 0 < a < 0.8: (4d)^(d/2) / a^d times the exact integral over
+  R^3 of a monotone majorant of V^- (2 inside r = 1, 2/r^6 beyond);
 * the Lennard-Jones-specific bound mu(a) <= 24.05 / a^3, valid for
   0.6 <= a <= 0.7 (Yuhjtman 2015).
 
@@ -28,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .potentials import LennardJones, LJTypeEnvelope, PairPotential
+from .potentials import PairPotential
 from .quadrature import power_tail_integral, sphere_volume
 
 __all__ = [
@@ -50,13 +49,22 @@ YUHJTMAN_NUMERATOR = 24.05
 
 BISECTION_MAX_ITER = 60
 
-# the mu-bound methods that hold only for the classical Lennard-Jones potential
-_LJ_ONLY_METHODS = {
-    "cube": "the cube method uses the Lennard-Jones envelope; for potential kind {kind!r} "
-            "call mu_upper_cube(envelope, a) with its own envelope",
-    "yuhjtman": "the 24.05/a^3 bound is specific to the classical Lennard-Jones "
-                "potential, not {kind!r}",
-}
+# Cube packing in d = 3: mu(a) <= (4d)^(d/2) / a^d * int_{R^3} eta-bar for a
+# cut inside the repulsive core, where eta-bar is a radially decreasing
+# majorant of V^-.  For Lennard-Jones, V = r^-12 - 2 r^-6:
+#   core: V - 0.5 r^-6 = r^-6 (r^-6 - 2.5) >= 0 for r <= 2.5^(-1/6) ~ 0.858,
+#         so V >= 0 on (0, CUBE_R1];
+#   well: V + 1 = (r^-6 - 1)^2 >= 0, so V >= -1 and eta-bar = 2 on r <= 1
+#         (the level of the tail majorant at r = 1, above the well depth);
+#   tail: V + 2 r^-6 = r^-12 > 0, so eta-bar = 2 r^-6 beyond r = 1.
+# int eta-bar = 2 * |unit ball| + the closed-form tail = 16 pi/3.
+CUBE_R1 = 0.8
+CUBE_NUMERATOR = (4.0 * 3) ** 1.5 * (
+    2.0 * sphere_volume(1.0, 3) + power_tail_integral(((2.0, 6.0),), 3, 1.0)
+)
+
+# the mu bounds that hold only for the classical Lennard-Jones potential
+_LJ_ONLY_METHODS = {"cube": "cube-packing", "yuhjtman": "24.05/a^3"}
 
 
 class MethodDomainError(ValueError):
@@ -129,24 +137,17 @@ def lj_stability_registry() -> StabilityData:
 PREVIOUS_LJ_B_UPPER = 41.66
 
 
-def mu_upper_cube(envelope: LJTypeEnvelope, a: float) -> MuBound:
-    """Cube-packing bound mu(a) <= (4d)^(d/2)/a^d * int eta-bar.
+def mu_upper_cube(a: float) -> MuBound:
+    """Lennard-Jones cube-packing bound mu(a) <= CUBE_NUMERATOR / a^3.
 
     Packs disjoint cubes of diagonal a/2 around the cloud particles; requires
-    the cut inside the repulsive region (0 < a < r1) so V^- vanishes there.
-    int eta-bar is exact: w-bar times the volume of the r2-ball plus the
-    closed-form integral of the power-law envelope beyond r2.
+    the cut inside the repulsive core, 0 < a < CUBE_R1.
     """
-    if not 0 < a < envelope.r1:
+    if not 0 < a < CUBE_R1:
         raise MethodDomainError(
-            f"cube-packing bound needs 0 < a < r1 = {envelope.r1}, got a = {a}"
+            f"cube-packing bound needs 0 < a < r1 = {CUBE_R1}, got a = {a}"
         )
-    d = envelope.d
-    tail = ((envelope.c_attraction, d + envelope.decay_surplus),)
-    well = envelope.majorant_well() * sphere_volume(envelope.r2, d)
-    integral = well + power_tail_integral(tail, d, envelope.r2)
-    value = (4.0 * d) ** (d / 2.0) * integral / a**d
-    return MuBound(a=a, value=value, method="cube-packing")
+    return MuBound(a=a, value=CUBE_NUMERATOR / a**3, method="cube-packing")
 
 
 def mu_upper_yuhjtman(a: float) -> MuBound:
@@ -179,10 +180,12 @@ def mu_bound_function(
 ) -> Callable[[float], MuBound]:
     """Resolve a mu-bound method name to a callable a -> MuBound."""
     if method in _LJ_ONLY_METHODS and potential.kind != "lennard-jones":
-        raise MethodMismatchError(_LJ_ONLY_METHODS[method].format(kind=potential.kind))
+        raise MethodMismatchError(
+            f"the {_LJ_ONLY_METHODS[method]} bound is specific to the classical "
+            f"Lennard-Jones potential, not {potential.kind!r}"
+        )
     if method == "cube":
-        envelope = LennardJones.default_envelope()
-        return lambda a: mu_upper_cube(envelope, a)
+        return mu_upper_cube
     if method == "yuhjtman":
         return mu_upper_yuhjtman
     if method == "user":

@@ -132,6 +132,28 @@ class TestCriterion:
         assert code == 0
         assert json.loads(out)["max_certified_a"] == 0.9
 
+    def test_cube_golden(self, capsys):
+        code, out = run(
+            ["criterion", "--method", "cube", "--interval", "0.1:0.79", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["max_certified_a"] == 0.44658060073852546
+        assert payload["mu_bound"] == 7820.2548979863395
+        assert payload["mu_method"] == "cube-packing"
+
+    def test_cube_for_non_lj_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "repulsive.json"
+        cfg.write_text(json.dumps({"kind": "inverse-power", "C": 1.0, "p": 12}))
+        with pytest.raises(SystemExit) as info:
+            main(["criterion", "--potential", str(cfg), "--method", "cube",
+                  "--interval", "0.1:0.5"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "Lennard-Jones" in err
+
     def test_bad_interval_format(self):
         with pytest.raises(SystemExit) as info:
             main(["criterion", "--interval", "junk"])

@@ -31,8 +31,10 @@ def test_exports():
         "hard_core_wrap",
         "negative_part",
         "radial_integral_err",
+        "LJTypeEnvelope",
     }
     assert not removed & set(mayerbounds.__all__)
+    assert not hasattr(mayerbounds.LennardJones, "default_envelope")
     for name in mayerbounds.__all__:
         assert hasattr(mayerbounds, name), name
 

@@ -1,4 +1,5 @@
-"""Pair potentials, the checked cut value V(a), and envelope checks."""
+"""Pair potentials, the checked cut value V(a), and the Lennard-Jones majorant
+behind the cube bound."""
 
 import math
 
@@ -13,7 +14,6 @@ from mayerbounds.potentials import (
     HardCoreWrap,
     InversePower,
     LennardJones,
-    LJTypeEnvelope,
     NotBasuevAtCutError,
     PairPotential,
     PotentialDomainError,
@@ -21,6 +21,7 @@ from mayerbounds.potentials import (
     potential_from_config,
     split,
 )
+from mayerbounds.stability import CUBE_R1
 
 LJ = LennardJones()
 LJ_ZERO = 2.0 ** (-1.0 / 6.0)
@@ -195,72 +196,31 @@ class TestFloor:
         assert step.floor(0.0, 2.0) == 1.0
 
 
-class TestLJTypeCheck:
-    def test_documented_envelope_passes(self):
-        # every envelope power is r^-6, so V - c r^-6 = r^-6 (r^-6 - 2 - c)
-        env = LennardJones.default_envelope()
-        assert env.d + env.decay_surplus == 6.0
-        # core: V >= c_repulsion r^-6 up to r = (2 + c_repulsion)^(-1/6), past r1
-        crossing = (2.0 + env.c_repulsion) ** (-1.0 / 6.0)
-        assert env.r1 < crossing
-        assert math.isclose(LJ(crossing), env.repulsive_floor(crossing), rel_tol=1e-12)
-        # well: V + 1 = (r^-6 - 1)^2 >= 0, so the floor on (r1, r2] is V(1) = -1
-        assert LJ.floor(env.r1, env.r2) == LJ(1.0) == -1.0
-        assert env.well_depth >= 1.0
-        # tail: V + c_attraction r^-6 = r^-12 + (c_attraction - 2) r^-6 > 0
-        assert env.c_attraction >= 2.0
+class TestCubeMajorant:
+    """The three inequalities behind the cube bound's closed-form constant."""
 
-    def test_oversized_repulsion_floor_fails_with_witness(self):
-        env = LJTypeEnvelope(
-            c_repulsion=1e6, c_attraction=2.0, r1=0.8, r2=1.0,
-            well_depth=1.0, decay_surplus=3.0,
-        )
-        # V - c r^-6 = r^-6 (r^-6 - 2 - c) turns negative past the crossing, inside r1
-        crossing = (2.0 + env.c_repulsion) ** (-1.0 / 6.0)
-        assert 0 < crossing < env.r1
-        assert math.isclose(LJ(crossing), env.repulsive_floor(crossing), rel_tol=1e-9)
-        assert LJ(env.r1) < env.repulsive_floor(env.r1)
+    @staticmethod
+    def majorant(r):
+        # the monotone majorant of V^- that mu_upper_cube integrates exactly
+        return np.where(r <= 1.0, 2.0, 2.0 * r**-6.0)
 
-    def test_pure_repulsive_with_vanishing_well(self):
-        v = InversePower(1.0, 12.0)
-        env = LJTypeEnvelope(
-            c_repulsion=0.5, c_attraction=1e-12, r1=0.9, r2=1.0,
-            well_depth=0.0, decay_surplus=6.0,
-        )
-        # core: V - 0.5 r^-9 = r^-9 (r^-3 - 0.5) >= 0 up to r = 2^(1/3), past r1
-        crossing = env.c_repulsion ** (-1.0 / 3.0)
-        assert env.r1 < crossing
-        assert math.isclose(v(crossing), env.repulsive_floor(crossing), rel_tol=1e-12)
-        # well and tail: V = r^-12 > 0, above -well_depth and -eta
-        assert v.floor(env.r1, env.r2) == v(env.r2) == 1.0 > -env.well_depth
-        assert v.coefficient > 0.0
-        # with no well, eta-bar's inner level is the tail envelope at r2
-        assert env.majorant_well() == env.attractive_envelope(env.r2) == 1e-12
+    def test_documented_proof_holds(self):
+        # core: V - 0.5 r^-6 = r^-6 (r^-6 - 2.5) >= 0 up to r = 2.5^(-1/6), past CUBE_R1
+        crossing = 2.5 ** (-1.0 / 6.0)
+        assert CUBE_R1 < crossing
+        assert math.isclose(LJ(crossing), 0.5 * crossing**-6.0, rel_tol=1e-12)
+        assert LJ.floor(0.0, CUBE_R1) == LJ(CUBE_R1) > 0.0
+        # well: V + 1 = (r^-6 - 1)^2 >= 0, so the floor past the core is V(1) = -1
+        assert LJ.floor(CUBE_R1, 1.0) == LJ(1.0) == -1.0
+        assert self.majorant(1.0) >= 1.0
+        # tail: V + 2 r^-6 = r^-12 > 0, the majorant beyond r = 1 (sampled
+        # with the rest in test_majorizes_negative_part)
 
-    def test_eta_bar_majorizes_negative_part(self):
-        env = LennardJones.default_envelope()
+    def test_majorizes_negative_part(self):
         r = np.geomspace(0.2, 20.0, 500)
-        eta = env.eta_bar(r)
+        eta = self.majorant(r)
         assert np.all(eta >= np.maximum(-LJ(r), 0.0))
         assert np.all(np.diff(eta) <= 0.0)
-
-    def test_envelope_validation(self):
-        with pytest.raises(ValueError):
-            LJTypeEnvelope(0.0, 1.0, 0.8, 1.0, 1.0, 3.0)
-        with pytest.raises(ValueError):
-            LJTypeEnvelope(1.0, 1.0, 1.2, 1.0, 1.0, 3.0)  # r1 > r2
-        with pytest.raises(ValueError):
-            LJTypeEnvelope(1.0, 1.0, 0.8, 1.0, 1.0, 0.0)  # no decay surplus
-
-    @pytest.mark.parametrize("bad", NON_FINITE)
-    @pytest.mark.parametrize("field", [
-        "c_repulsion", "c_attraction", "r1", "r2", "well_depth", "decay_surplus",
-    ])
-    def test_non_finite_envelope_rejected(self, field, bad):
-        fields = dict(c_repulsion=0.5, c_attraction=2.0, r1=0.8, r2=1.0,
-                      well_depth=1.0, decay_surplus=3.0)
-        with pytest.raises(ValueError, match="finite"):
-            LJTypeEnvelope(**fields | {field: bad})
 
 
 class TestHardCoreWrap:
@@ -343,8 +303,6 @@ class TestDimension:
             InversePower(1.0, 12.0, d=d)
         with pytest.raises(ValueError, match="dimension d"):
             TabulatedPotential(knots=((1.0, 2.0),), d=d)
-        with pytest.raises(ValueError, match="dimension d"):
-            LJTypeEnvelope(0.5, 2.0, 0.8, 1.0, 1.0, 3.0, d=d)
 
     def test_integral_float_counts_as_int(self):
         v = InversePower(1.0, 12.0, d=2.0)

@@ -145,6 +145,29 @@ class TestSphereConstants:
         assert sphere_surface(3) == 4.0 * math.pi
         assert math.isclose(sphere_volume(2.0, 3), 32.0 * math.pi / 3.0, rel_tol=1e-15)
 
+    # coefficients 0 or of normal size: at subnormal ones the quadrature,
+    # not the closed form, loses its relative precision
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        radius=st.floats(min_value=0.05, max_value=10.0),
+        level=st.just(0.0) | st.floats(min_value=1e-3, max_value=10.0),
+        coefficient=st.just(0.0) | st.floats(min_value=1e-3, max_value=10.0),
+        surplus=st.floats(min_value=0.05, max_value=12.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_closed_forms_match_quadrature(self, d, radius, level, coefficient, surplus):
+        # a flat level inside the radius and c r^-(d + surplus) beyond: the
+        # ball volume plus the closed-form tail against the integrand itself
+        # integrated adaptively to a tolerance far below the asserted one
+        tail = ((coefficient, d + surplus),)
+        closed = level * sphere_volume(radius, d) + power_tail_integral(tail, d, radius)
+        numeric, _ = radial_integral(
+            lambda r: np.where(r <= radius, level, coefficient * r ** -(d + surplus)),
+            d, 0.0, math.inf, QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300),
+            tail=tail, breakpoints=(radius,),
+        )
+        assert math.isclose(closed, numeric, rel_tol=1e-13, abs_tol=0.0)
+
     @pytest.mark.parametrize("d", [439, 1000, 10**6])
     def test_surface_below_double_range_raises(self, d):
         # it would underflow to 0, and a zero integral reads as an infinite radius

@@ -4,13 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from mayerbounds.potentials import InversePower, LennardJones, LJTypeEnvelope
+from mayerbounds.potentials import HardCoreWrap, InversePower, LennardJones, TabulatedPotential
 from mayerbounds import quadrature
-from mayerbounds.quadrature import QuadratureSpec, radial_integral, sphere_surface
+from mayerbounds.quadrature import QuadratureSpec, radial_integral
 from mayerbounds.stability import (
+    CUBE_NUMERATOR,
     MethodDomainError,
     MethodMismatchError,
     MuBound,
@@ -54,59 +53,55 @@ class TestCubeBound:
         assert math.isclose((4 * 3) ** 1.5, 41.569, rel_tol=1e-4)
 
     def test_closed_form_oracle(self):
-        # eta-bar = max(w, eta(r2)) inside r2, C'/r^(d+eps) beyond:
-        # int = S_2 (wbar r2^3/3 + C' r2^-eps / eps)
-        env = LennardJones.default_envelope()
-        wbar = max(env.well_depth, env.c_attraction / env.r2**6)
-        closed = sphere_surface(3) * (
-            wbar * env.r2**3 / 3.0 + env.c_attraction * env.r2**-3.0 / 3.0
-        )
-        expected = (4 * 3) ** 1.5 * closed / 0.36**3
-        got = mu_upper_cube(env, 0.36)
-        assert math.isclose(got.value, expected, rel_tol=1e-8)
+        # int eta-bar = 2 * (4 pi/3) + 4 pi * 2/3 = 16 pi/3
+        expected = (4 * 3) ** 1.5 * (16.0 * math.pi / 3.0) / 0.36**3
+        got = mu_upper_cube(0.36)
+        assert math.isclose(got.value, expected, rel_tol=1e-15)
         assert got.method == "cube-packing"
 
-    # coefficients 0 or of normal size: at subnormal ones the quadrature,
-    # not the closed form, loses its relative precision
-    @given(
-        d=st.sampled_from([1, 2, 3]),
-        r2=st.floats(min_value=0.05, max_value=10.0),
-        r1_fraction=st.floats(min_value=0.05, max_value=1.0),
-        c_attraction=st.just(0.0) | st.floats(min_value=1e-3, max_value=10.0),
-        well_depth=st.just(0.0) | st.floats(min_value=1e-3, max_value=10.0),
-        decay_surplus=st.floats(min_value=0.05, max_value=12.0),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_closed_form_matches_quadrature(
-        self, d, r2, r1_fraction, c_attraction, well_depth, decay_surplus
-    ):
-        # the exact int eta-bar inside mu_upper_cube against eta-bar itself
+    def test_numerator_matches_quadrature(self):
+        # the exact int eta-bar in CUBE_NUMERATOR against eta-bar itself
         # integrated adaptively to a tolerance far below the asserted one
-        env = LJTypeEnvelope(
-            c_repulsion=1.0, c_attraction=c_attraction, r1=r1_fraction * r2, r2=r2,
-            well_depth=well_depth, decay_surplus=decay_surplus, d=d,
-        )
-        a = 0.5 * env.r1
-        closed = mu_upper_cube(env, a).value * a**d / (4.0 * d) ** (d / 2.0)
         numeric, _ = radial_integral(
-            env.eta_bar, d, 0.0, math.inf, QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300),
-            tail=((c_attraction, d + decay_surplus),), breakpoints=(r2,),
+            lambda r: np.where(r <= 1.0, 2.0, 2.0 * r**-6.0), 3, 0.0, math.inf,
+            QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300),
+            tail=((2.0, 6.0),), breakpoints=(1.0,),
         )
-        assert math.isclose(closed, numeric, rel_tol=1e-13, abs_tol=0.0)
-
-    def test_repulsive_envelope_gives_zero(self):
-        env = LJTypeEnvelope(
-            c_repulsion=1.0, c_attraction=0.0, r1=0.8, r2=1.0,
-            well_depth=0.0, decay_surplus=3.0,
-        )
-        assert mu_upper_cube(env, 0.3).value == 0.0
+        assert math.isclose(CUBE_NUMERATOR / 12**1.5, numeric, rel_tol=1e-13, abs_tol=0.0)
 
     def test_domain(self):
-        env = LennardJones.default_envelope()
         with pytest.raises(MethodDomainError):
-            mu_upper_cube(env, 0.8)  # not strictly inside r1
+            mu_upper_cube(0.8)  # not strictly inside r1
         with pytest.raises(MethodDomainError):
-            mu_upper_cube(env, 0.0)
+            mu_upper_cube(0.0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, -0.0, -0.3, 0.8, 0.9, 1.0])
+    def test_domain_rejects(self, a):
+        with pytest.raises(MethodDomainError, match="0 < a < r1 = 0.8"):
+            mu_upper_cube(a)
+
+    def test_numerator_is_the_documented_constant(self):
+        assert CUBE_NUMERATOR == 696.4989558659396
+        assert math.isclose(CUBE_NUMERATOR, 12**1.5 * 16.0 * math.pi / 3.0, rel_tol=1e-15)
+
+    # the values the envelope-based bound gave at these cuts, bit for bit
+    @pytest.mark.parametrize("a, value", [
+        (0.05, 5571991.646927515),
+        (0.1, 696498.9558659394),
+        (0.3637, 14477.399757712967),
+        (0.44658107757568355, 7820.22984777042),
+        (0.5, 5571.991646927517),
+        (0.6397, 2660.6724795396067),
+        (0.79, 1412.66503433996),
+        (0.7999999999999999, 1360.3495231756635),
+    ])
+    def test_pinned_values(self, a, value):
+        assert mu_upper_cube(a) == MuBound(a=a, value=value, method="cube-packing")
+
+    def test_strictly_decreasing(self):
+        grid = np.linspace(0.05, 0.79, 50)
+        values = [mu_upper_cube(a).value for a in grid]
+        assert all(x > y for x, y in zip(values, values[1:]))
 
 
 class TestCriterion:
@@ -123,9 +118,8 @@ class TestCriterion:
             assert criterion_holds(v, MuBound(a=a, value=0.0, method="user-supplied"))
 
     def test_lj_certified_at_0_3637_with_cube_bound(self):
-        # the generic cube-packing bound with the documented envelope does
-        # certify the small published cut
-        bound = mu_upper_cube(LennardJones.default_envelope(), 0.3637)
+        # the cube-packing bound does certify the small published cut
+        bound = mu_upper_cube(0.3637)
         assert criterion_holds(LJ, bound)
 
 
@@ -173,14 +167,23 @@ class TestFindMaxA:
         with pytest.raises(NoValidCutError):
             find_max_a(LJ, "yuhjtman", (0.65, 0.7))
 
-    def test_cube_for_non_lj_requires_envelope(self):
-        with pytest.raises(MethodMismatchError, match=r"mu_upper_cube\(envelope, a\)"):
+    def test_cube_for_non_lj_names_lennard_jones(self):
+        with pytest.raises(MethodMismatchError, match="specific to the classical Lennard-Jones"):
             find_max_a(InversePower(1.0, 12.0), "cube", (0.1, 0.5))
 
-    def test_cube_reads_the_default_envelope(self):
-        bound_at = mu_bound_function("cube", LJ)
-        for a in (0.3637, 0.5):
-            assert bound_at(a) == mu_upper_cube(LennardJones.default_envelope(), a)
+    @pytest.mark.parametrize("method", ["cube", "yuhjtman"])
+    @pytest.mark.parametrize("potential", [
+        InversePower(1.0, 12.0),
+        HardCoreWrap(LennardJones(), 0.5, 1e6),
+        TabulatedPotential(knots=((0.5, 50.0), (1.0, -1.0), (2.0, 0.0))),
+    ], ids=["inverse-power", "hard-core", "tabulated"])
+    def test_lj_only_methods_name_lennard_jones(self, method, potential):
+        match = f"classical Lennard-Jones potential, not '{potential.kind}'"
+        with pytest.raises(MethodMismatchError, match=match):
+            mu_bound_function(method, potential)
+
+    def test_cube_resolves_to_mu_upper_cube(self):
+        assert mu_bound_function("cube", LJ) is mu_upper_cube
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
